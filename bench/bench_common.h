@@ -122,6 +122,26 @@ inline casql::CasqlConfig MakeCasqlConfig(casql::Technique t,
   return cfg;
 }
 
+/// The checkout's commit, `git describe --always --dirty` style (a
+/// "-dirty" suffix marks uncommitted changes), or "none" outside a git
+/// tree. Benches record it beside their numbers.
+inline std::string SourceRevision() {
+  std::string rev;
+#ifdef IQ_SOURCE_DIR
+  if (FILE* p = ::popen("git -C '" IQ_SOURCE_DIR
+                        "' describe --always --dirty --abbrev=40 2>/dev/null",
+                        "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) rev += buf;
+    ::pclose(p);
+  }
+#endif
+  while (!rev.empty() && (rev.back() == '\n' || rev.back() == ' ')) {
+    rev.pop_back();
+  }
+  return rev.empty() ? "none" : rev;
+}
+
 inline void PrintHeader(const std::string& title) {
   std::printf("\n%s\n", title.c_str());
   for (std::size_t i = 0; i < title.size(); ++i) std::printf("=");

@@ -5,6 +5,8 @@
 //   - loopback       in-process Channel baseline, depth 1
 //   - tcp depth 1    one request per write/read pair (memcached default)
 //   - tcp depth 8/64 SendNoWait x N -> Flush (one write) -> Drain
+//   - wire floor     1-byte echo with the depth-1 cell's threads, sockets
+//                    and polling, minus the protocol: the attainable rate
 //
 // Every cell runs kClientThreads concurrent clients (one connection each
 // for TCP), the way a cache server is actually loaded: the server drains
@@ -18,12 +20,17 @@
 // Output: a human table on stdout and a JSON record (BENCH_net.json by
 // default, override with IQ_BENCH_NET_OUT) so CI can track the trajectory.
 // Env knobs: IQ_BENCH_SECONDS (measurement window per cell, default 1.0).
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sched.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -42,6 +49,7 @@ using namespace iq;
 namespace {
 
 constexpr int kClientThreads = 4;
+constexpr int kServerWorkers = 2;  // TcpServer workers in the tcp cells
 constexpr int kKeys = 64;
 constexpr std::size_t kValueBytes = 100;
 
@@ -110,58 +118,133 @@ double MeasureThreads(
          (static_cast<double>(window) / kNanosPerSec);
 }
 
-/// Round trips/sec of a bare 1-byte TCP echo between two threads: no epoll,
-/// no parsing, no dispatch — just the syscall + scheduler floor this host
-/// imposes on any depth-1 request/response protocol. Everything the real
-/// server adds on top of this is our overhead; the rest is the machine's.
+/// Read at least one byte from non-blocking `fd` with TcpChannel's
+/// discipline: spin on EAGAIN (multicore only), then block in poll().
+bool SpinThenPollRead(int fd, char* buf, std::size_t size) {
+  int spins = std::thread::hardware_concurrency() > 1 ? 400 : 0;
+  while (true) {
+    ssize_t r = ::read(fd, buf, size);
+    if (r > 0) return true;
+    if (r == 0 || (errno != EAGAIN && errno != EINTR)) return false;
+    if (spins-- > 0) {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+      continue;
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, -1) < 0 && errno != EINTR) return false;
+  }
+}
+
+/// One echo worker shaped like a TcpServer worker: epoll over its
+/// connections, zero-timeout spins after activity (TcpServer's multicore
+/// spin_polls default), SCHED_BATCH, no parsing and no dispatch. Returns
+/// once every connection it serves has reached EOF.
+void EchoWorker(std::vector<int> fds) {
+  sched_param sp{};
+  (void)::sched_setscheduler(0, SCHED_BATCH, &sp);
+  int ep = ::epoll_create1(EPOLL_CLOEXEC);
+  for (int fd : fds) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    ::epoll_ctl(ep, EPOLL_CTL_ADD, fd, &ev);
+  }
+  const int spin_polls = std::thread::hardware_concurrency() > 1 ? 400 : 0;
+  std::size_t live = fds.size();
+  int spin_left = 0;
+  epoll_event events[16];
+  while (live > 0) {
+    int n = ::epoll_wait(ep, events, 16, spin_left > 0 ? 0 : -1);
+    if (n <= 0) {
+      if (n == 0) --spin_left;
+      continue;
+    }
+    spin_left = spin_polls;
+    for (int i = 0; i < n; ++i) {
+      int fd = events[i].data.fd;
+      char b[64];
+      ssize_t r = ::read(fd, b, sizeof(b));
+      if (r > 0) {
+        if (::write(fd, b, static_cast<std::size_t>(r)) == r) continue;
+      } else if (r < 0 && (errno == EAGAIN || errno == EINTR)) {
+        continue;
+      }
+      ::epoll_ctl(ep, EPOLL_CTL_DEL, fd, nullptr);
+      ::close(fd);
+      --live;
+    }
+  }
+  ::close(ep);
+}
+
+/// Round trips/sec of a bare 1-byte TCP echo with the same shape as the
+/// "tcp depth 1" cell: kClientThreads clients, one connection each, reading
+/// like TcpChannel, served by kServerWorkers echo workers polling like
+/// TcpServer's. Only the protocol work is missing, so this is what any
+/// depth-1 request/response protocol can reach on this host; tcp depth 1
+/// reads above it only by measurement noise.
 double MeasureWireFloor(Nanos window) {
-  int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (lfd < 0 || ::bind(lfd, reinterpret_cast<sockaddr*>(&addr),
                         sizeof(addr)) != 0 ||
-      ::listen(lfd, 1) != 0) {
+      ::listen(lfd, kClientThreads) != 0) {
     return 0;
   }
   socklen_t len = sizeof(addr);
   ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len);
-  // Loopback connect completes through the backlog, so accept() after it
-  // cannot block.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    if (fd >= 0) ::close(fd);
-    ::close(lfd);
-    return 0;
-  }
-  int srv = ::accept(lfd, nullptr, nullptr);
-  ::close(lfd);
-  if (srv < 0) {
-    ::close(fd);
-    return 0;
-  }
+  // Loopback connects complete through the backlog, so the accept()s after
+  // them cannot block.
   int on = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
-  ::setsockopt(srv, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
-  std::thread echo([srv] {
-    char b[16];
-    while (::read(srv, b, sizeof(b)) > 0) {
-      if (::write(srv, b, 1) != 1) break;
+  std::vector<int> clients;
+  std::vector<std::vector<int>> served(kServerWorkers);
+  for (int i = 0; i < kClientThreads; ++i) {
+    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0 ||
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      std::fprintf(stderr, "bench_net: wire floor connect failed\n");
+      std::exit(1);
     }
-    ::close(srv);
-  });
+    int srv = ::accept4(lfd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (srv < 0) {
+      std::fprintf(stderr, "bench_net: wire floor accept failed\n");
+      std::exit(1);
+    }
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
+    ::setsockopt(srv, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+    clients.push_back(fd);
+    served[static_cast<std::size_t>(i % kServerWorkers)].push_back(srv);
+  }
+  ::close(lfd);
+  std::vector<std::thread> echo;
+  for (std::vector<int>& fds : served) echo.emplace_back(EchoWorker, fds);
+
   const Clock& clock = SteadyClock::Instance();
   Nanos deadline = clock.Now() + window;
-  std::uint64_t count = 0;
-  char b[16] = {'x'};
-  while (clock.Now() < deadline) {
-    if (::write(fd, b, 1) != 1 || ::read(fd, b, sizeof(b)) <= 0) break;
-    ++count;
+  std::atomic<std::uint64_t> total{0};
+  std::vector<std::thread> threads;
+  for (int fd : clients) {
+    threads.emplace_back([&, fd] {
+      std::uint64_t count = 0;
+      char b[16] = {'x'};
+      while (clock.Now() < deadline) {
+        if (::write(fd, b, 1) != 1 || !SpinThenPollRead(fd, b, sizeof(b))) {
+          break;
+        }
+        ++count;
+      }
+      total.fetch_add(count, std::memory_order_relaxed);
+      ::close(fd);  // the echo worker reads EOF and drops the connection
+    });
   }
-  ::close(fd);  // echo thread's read() returns 0 -> joins
-  echo.join();
-  return static_cast<double>(count) /
+  for (auto& th : threads) th.join();
+  for (auto& th : echo) th.join();
+  return static_cast<double>(total.load()) /
          (static_cast<double>(window) / kNanosPerSec);
 }
 
@@ -186,7 +269,7 @@ int main() {
   // TCP over 127.0.0.1, one connection per client thread, depths 1/8/64.
   IQServer server;
   net::TcpServer::Config cfg;
-  cfg.workers = 2;
+  cfg.workers = kServerWorkers;
   net::TcpServer tcp(server, cfg);
   std::string error;
   if (!tcp.Start(&error)) {
@@ -207,8 +290,8 @@ int main() {
   std::vector<double> tcp_rps;
   std::printf(
       "bench_net: loopback TCP, 1 set : 3 get, %zu-byte values, "
-      "%d client threads\n\n",
-      kValueBytes, kClientThreads);
+      "%d client threads, %d server workers\n\n",
+      kValueBytes, kClientThreads, kServerWorkers);
   std::printf("  %-18s %14.0f req/s\n", "loopback (no net)", loopback_rps);
   std::printf("  %-18s %14.0f req/s\n", "wire floor (echo)", floor_rps);
   for (int depth : depths) {
@@ -232,12 +315,19 @@ int main() {
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"bench_net\",\n"
+                 "  \"git_sha\": \"%s\",\n"
+                 "  \"hardware_concurrency\": %u,\n"
+                 "  \"window_seconds\": %.2f,\n"
                  "  \"mix\": \"1 set : 3 get, %zu-byte values\",\n"
                  "  \"client_threads\": %d,\n"
+                 "  \"server_workers\": %d,\n"
                  "  \"loopback_rps\": %.0f,\n"
                  "  \"wire_floor_rps\": %.0f,\n"
                  "  \"tcp\": [\n",
-                 kValueBytes, kClientThreads, loopback_rps, floor_rps);
+                 bench::SourceRevision().c_str(),
+                 std::thread::hardware_concurrency(),
+                 static_cast<double>(window) / kNanosPerSec, kValueBytes,
+                 kClientThreads, kServerWorkers, loopback_rps, floor_rps);
     for (std::size_t i = 0; i < tcp_rps.size(); ++i) {
       std::fprintf(f, "    {\"depth\": %d, \"rps\": %.0f}%s\n", depths[i],
                    tcp_rps[i], i + 1 < tcp_rps.size() ? "," : "");

@@ -17,21 +17,20 @@ bool LoopbackChannel::RoundTrip(const std::string& request_bytes,
   {
     std::lock_guard lock(mu_);
     parser_.Feed(request_bytes);
-    Request request;
     std::string error;
     // A single RoundTrip may carry several pipelined requests; answer all.
     while (true) {
-      auto status = parser_.Next(&request, &error);
+      auto status = parser_.Next(&request_, &error);
       if (status == RequestParser::Status::kNeedMore) break;
       if (status == RequestParser::Status::kError) {
         Response err;
         err.type = ResponseType::kError;
         err.message = error;
-        *reply += Serialize(err);
+        AppendTo(err, reply);
         continue;
       }
       requests_.fetch_add(1, std::memory_order_relaxed);
-      *reply += Serialize(dispatcher_.Dispatch(request));
+      AppendTo(dispatcher_.Dispatch(request_), reply);
     }
   }
   if (latency_ > 0) SleepFor(clock_, latency_);
@@ -39,27 +38,33 @@ bool LoopbackChannel::RoundTrip(const std::string& request_bytes,
 }
 
 Response RemoteCacheClient::Call(const Request& request) {
-  std::string bytes;
-  Response err;
-  if (!channel_.RoundTrip(Serialize(request), &bytes)) {
-    err.type = ResponseType::kTransportError;
-    err.message = "connection failed";
-    return err;
-  }
+  // Per-thread wire scratch: their capacity survives across calls, so a
+  // steady-state call allocates nothing for its request or reply bytes.
+  thread_local std::string request_bytes;
+  thread_local std::string reply;
+  request_bytes.clear();
+  AppendTo(request, &request_bytes);
+  // One named result on every path: it is constructed in the caller's
+  // frame (NRVO) and the reply is parsed straight into it.
+  Response resp;
+  auto fail = [&resp](const char* why) {
+    resp = Response{};
+    resp.type = ResponseType::kTransportError;
+    resp.message = why;
+  };
   std::size_t consumed = 0;
-  auto response = ParseResponse(bytes, &consumed);
-  if (!response) {
+  if (!channel_.RoundTrip(request_bytes, &reply)) {
+    fail("connection failed");
+  } else if (ParseResponse(reply, &resp, &consumed) != ParseStatus::kOk) {
     // A short or unparseable reply means the stream is desynced; the caller
     // cannot trust anything further on this connection. Treat as transport
     // failure, not as a server-refused command.
-    err.type = ResponseType::kTransportError;
-    err.message = "short or malformed response";
-    return err;
+    fail("short or malformed response");
   }
-  return *response;
+  return resp;
 }
 
-std::optional<CacheItem> RemoteCacheClient::Get(const std::string& key) {
+std::optional<CacheItem> RemoteCacheClient::Get(std::string_view key) {
   Request r;
   r.command = Command::kGet;
   r.key = key;
@@ -68,7 +73,7 @@ std::optional<CacheItem> RemoteCacheClient::Get(const std::string& key) {
   return CacheItem{std::move(resp.data), resp.flags, resp.cas_unique};
 }
 
-std::optional<CacheItem> RemoteCacheClient::Gets(const std::string& key) {
+std::optional<CacheItem> RemoteCacheClient::Gets(std::string_view key) {
   Request r;
   r.command = Command::kGets;
   r.key = key;
@@ -84,9 +89,18 @@ std::vector<std::optional<CacheItem>> RemoteCacheClient::MultiGet(
   Request r;
   r.command = with_cas ? Command::kGets : Command::kGet;
   r.key = keys.front();
-  r.keys = keys;
+  if (keys.size() > 1) r.keys = keys;
   Response resp = Call(r);
   if (resp.type != ResponseType::kValue) return out;
+  if (resp.values.empty()) {
+    // One hit: it rides in the single-value fields.
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (keys[i] != resp.key) continue;
+      out[i] = CacheItem{std::move(resp.data), resp.flags, resp.cas_unique};
+      break;
+    }
+    return out;
+  }
   // The server omits misses, so match returned VALUE blocks back to the
   // requested keys (duplicates each consume one block, in order). Caveat,
   // inherent to memcached get semantics: the server looks keys up one at a
@@ -119,8 +133,8 @@ StoreResult ToStoreResult(const Response& resp) {
 
 }  // namespace
 
-StoreResult RemoteCacheClient::Set(const std::string& key,
-                                   const std::string& value,
+StoreResult RemoteCacheClient::Set(std::string_view key,
+                                   std::string_view value,
                                    std::uint32_t flags, std::int64_t exptime) {
   Request r;
   r.command = Command::kSet;
@@ -131,8 +145,8 @@ StoreResult RemoteCacheClient::Set(const std::string& key,
   return ToStoreResult(Call(r));
 }
 
-StoreResult RemoteCacheClient::Add(const std::string& key,
-                                   const std::string& value) {
+StoreResult RemoteCacheClient::Add(std::string_view key,
+                                   std::string_view value) {
   Request r;
   r.command = Command::kAdd;
   r.key = key;
@@ -140,8 +154,8 @@ StoreResult RemoteCacheClient::Add(const std::string& key,
   return ToStoreResult(Call(r));
 }
 
-StoreResult RemoteCacheClient::Cas(const std::string& key,
-                                   const std::string& value,
+StoreResult RemoteCacheClient::Cas(std::string_view key,
+                                   std::string_view value,
                                    std::uint64_t unique) {
   Request r;
   r.command = Command::kCas;
@@ -151,15 +165,15 @@ StoreResult RemoteCacheClient::Cas(const std::string& key,
   return ToStoreResult(Call(r));
 }
 
-bool RemoteCacheClient::Delete(const std::string& key) {
+bool RemoteCacheClient::Delete(std::string_view key) {
   Request r;
   r.command = Command::kDelete;
   r.key = key;
   return Call(r).type == ResponseType::kDeleted;
 }
 
-StoreResult RemoteCacheClient::Append(const std::string& key,
-                                      const std::string& blob) {
+StoreResult RemoteCacheClient::Append(std::string_view key,
+                                      std::string_view blob) {
   Request r;
   r.command = Command::kAppend;
   r.key = key;
@@ -167,8 +181,8 @@ StoreResult RemoteCacheClient::Append(const std::string& key,
   return ToStoreResult(Call(r));
 }
 
-StoreResult RemoteCacheClient::Prepend(const std::string& key,
-                                       const std::string& blob) {
+StoreResult RemoteCacheClient::Prepend(std::string_view key,
+                                       std::string_view blob) {
   Request r;
   r.command = Command::kPrepend;
   r.key = key;
@@ -176,7 +190,7 @@ StoreResult RemoteCacheClient::Prepend(const std::string& key,
   return ToStoreResult(Call(r));
 }
 
-std::optional<std::uint64_t> RemoteCacheClient::Incr(const std::string& key,
+std::optional<std::uint64_t> RemoteCacheClient::Incr(std::string_view key,
                                                      std::uint64_t amount) {
   Request r;
   r.command = Command::kIncr;
@@ -187,7 +201,7 @@ std::optional<std::uint64_t> RemoteCacheClient::Incr(const std::string& key,
   return resp.number;
 }
 
-std::optional<std::uint64_t> RemoteCacheClient::Decr(const std::string& key,
+std::optional<std::uint64_t> RemoteCacheClient::Decr(std::string_view key,
                                                      std::uint64_t amount) {
   Request r;
   r.command = Command::kDecr;
@@ -257,7 +271,7 @@ std::optional<RemoteCacheClient::TraceDrain> RemoteCacheClient::TraceWithInfo(
   return drain;
 }
 
-GetReply RemoteCacheClient::IQget(const std::string& key, SessionId session) {
+GetReply RemoteCacheClient::IQget(std::string_view key, SessionId session) {
   Request r;
   r.command = Command::kIQGet;
   r.key = key;
@@ -283,8 +297,8 @@ GetReply RemoteCacheClient::IQget(const std::string& key, SessionId session) {
   }
 }
 
-StoreResult RemoteCacheClient::IQset(const std::string& key,
-                                     const std::string& value,
+StoreResult RemoteCacheClient::IQset(std::string_view key,
+                                     std::string_view value,
                                      LeaseToken token) {
   Request r;
   r.command = Command::kIQSet;
@@ -294,7 +308,7 @@ StoreResult RemoteCacheClient::IQset(const std::string& key,
   return ToStoreResult(Call(r));
 }
 
-QaReadReply RemoteCacheClient::QaRead(const std::string& key,
+QaReadReply RemoteCacheClient::QaRead(std::string_view key,
                                       SessionId session) {
   Request r;
   r.command = Command::kQaRead;
@@ -316,8 +330,8 @@ QaReadReply RemoteCacheClient::QaRead(const std::string& key,
   }
 }
 
-StoreResult RemoteCacheClient::SaR(const std::string& key,
-                                   const std::optional<std::string>& value,
+StoreResult RemoteCacheClient::SaR(std::string_view key,
+                                   std::optional<std::string_view> value,
                                    LeaseToken token) {
   Request r;
   r.command = value ? Command::kSaR : Command::kSaRNull;
@@ -335,7 +349,7 @@ SessionId RemoteCacheClient::GenID() {
 }
 
 QuarantineResult RemoteCacheClient::QaReg(SessionId tid,
-                                          const std::string& key) {
+                                          std::string_view key) {
   Request r;
   r.command = Command::kQaReg;
   r.session = tid;
@@ -355,7 +369,7 @@ bool RemoteCacheClient::DaR(SessionId tid) {
 }
 
 QuarantineResult RemoteCacheClient::IQDelta(SessionId tid,
-                                            const std::string& key,
+                                            std::string_view key,
                                             DeltaOp delta) {
   Request r;
   r.session = tid;
@@ -399,7 +413,7 @@ bool RemoteCacheClient::Abort(SessionId tid) {
   return Call(r).type == ResponseType::kOk;
 }
 
-bool RemoteCacheClient::Release(SessionId tid, const std::string& key) {
+bool RemoteCacheClient::Release(SessionId tid, std::string_view key) {
   Request r;
   r.command = Command::kRelease;
   r.session = tid;

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/protocol.h"
@@ -56,6 +57,7 @@ class LoopbackChannel final : public Channel {
   const Clock& clock_;
   std::mutex mu_;  // one outstanding request per connection, like memcached
   RequestParser parser_;
+  Request request_;  // reused: the parser fills it in place
   std::atomic<std::uint64_t> requests_{0};
 };
 
@@ -67,22 +69,22 @@ class RemoteCacheClient {
   explicit RemoteCacheClient(Channel& channel) : channel_(channel) {}
 
   // -- standard commands --
-  std::optional<CacheItem> Get(const std::string& key);
-  std::optional<CacheItem> Gets(const std::string& key);
+  std::optional<CacheItem> Get(std::string_view key);
+  std::optional<CacheItem> Gets(std::string_view key);
   /// Fetch N keys in one round trip (`get k1 k2 ... kn`). Result is aligned
   /// with `keys`; misses are nullopt. `with_cas` issues `gets` instead.
   std::vector<std::optional<CacheItem>> MultiGet(
       const std::vector<std::string>& keys, bool with_cas = false);
-  StoreResult Set(const std::string& key, const std::string& value,
+  StoreResult Set(std::string_view key, std::string_view value,
                   std::uint32_t flags = 0, std::int64_t exptime = 0);
-  StoreResult Add(const std::string& key, const std::string& value);
-  StoreResult Cas(const std::string& key, const std::string& value,
+  StoreResult Add(std::string_view key, std::string_view value);
+  StoreResult Cas(std::string_view key, std::string_view value,
                   std::uint64_t unique);
-  bool Delete(const std::string& key);
-  StoreResult Append(const std::string& key, const std::string& blob);
-  StoreResult Prepend(const std::string& key, const std::string& blob);
-  std::optional<std::uint64_t> Incr(const std::string& key, std::uint64_t amount);
-  std::optional<std::uint64_t> Decr(const std::string& key, std::uint64_t amount);
+  bool Delete(std::string_view key);
+  StoreResult Append(std::string_view key, std::string_view blob);
+  StoreResult Prepend(std::string_view key, std::string_view blob);
+  std::optional<std::uint64_t> Incr(std::string_view key, std::uint64_t amount);
+  std::optional<std::uint64_t> Decr(std::string_view key, std::uint64_t amount);
   void FlushAll();
   std::string Stats();
   /// Force one lease-table sweep on the server; returns the number of
@@ -106,24 +108,24 @@ class RemoteCacheClient {
   std::optional<TraceDrain> TraceWithInfo(std::uint64_t max_events = 0);
 
   // -- IQ commands --
-  GetReply IQget(const std::string& key, SessionId session);
-  StoreResult IQset(const std::string& key, const std::string& value,
+  GetReply IQget(std::string_view key, SessionId session);
+  StoreResult IQset(std::string_view key, std::string_view value,
                     LeaseToken token);
-  QaReadReply QaRead(const std::string& key, SessionId session);
-  StoreResult SaR(const std::string& key,
-                  const std::optional<std::string>& value, LeaseToken token);
+  QaReadReply QaRead(std::string_view key, SessionId session);
+  StoreResult SaR(std::string_view key,
+                  std::optional<std::string_view> value, LeaseToken token);
   SessionId GenID();
   /// Parses the wire reply: kGranted only on an explicit GRANTED — a dead
   /// channel yields kTransportError, never a silently "granted" quarantine.
-  QuarantineResult QaReg(SessionId tid, const std::string& key);
+  QuarantineResult QaReg(SessionId tid, std::string_view key);
   /// Each returns true iff the server acknowledged (OK). False means the
   /// command may or may not have been applied; lease expiry is the backstop.
   bool DaR(SessionId tid);
-  QuarantineResult IQDelta(SessionId tid, const std::string& key, DeltaOp delta);
+  QuarantineResult IQDelta(SessionId tid, std::string_view key, DeltaOp delta);
   bool Commit(SessionId tid);
   bool Abort(SessionId tid);
   /// Drop the session's lease on one key, keeping everything else it holds.
-  bool Release(SessionId tid, const std::string& key);
+  bool Release(SessionId tid, std::string_view key);
 
  private:
   Response Call(const Request& request);

@@ -1,7 +1,10 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <charconv>
-#include <unordered_map>
+#include <cstring>
+#include <iterator>
+#include <optional>
 
 namespace iq::net {
 namespace {
@@ -34,314 +37,381 @@ void AppendI64(std::string* out, std::int64_t v) {
   out->append(buf, p - buf);
 }
 
-std::vector<std::string_view> SplitTokens(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && line[i] == ' ') ++i;
-    std::size_t start = i;
-    while (i < line.size() && line[i] != ' ') ++i;
-    if (i > start) out.push_back(line.substr(start, i - start));
+/// The space-separated tokens of one protocol line, taken left to right
+/// without storing them: every line is scanned exactly once.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : line_(line) {}
+
+  /// The next token, or an empty view at the end of the line.
+  std::string_view Next() {
+    SkipSpaces();
+    std::size_t start = pos_;
+    while (pos_ < line_.size() && line_[pos_] != ' ') ++pos_;
+    return line_.substr(start, pos_ - start);
   }
-  return out;
+
+  bool Done() {
+    SkipSpaces();
+    return pos_ == line_.size();
+  }
+
+  /// The untokenized remainder of the line.
+  std::string_view Rest() const { return line_.substr(pos_); }
+
+ private:
+  void SkipSpaces() {
+    while (pos_ < line_.size() && line_[pos_] == ' ') ++pos_;
+  }
+
+  std::string_view line_;
+  std::size_t pos_ = 0;
+};
+
+/// Take exactly one token per output and then the end of the line.
+template <typename... Views>
+bool Exactly(Tokens& tok, Views*... out) {
+  return ((*out = tok.Next(), !out->empty()) && ...) && tok.Done();
 }
 
-struct CommandInfo {
+// ---- the verb table ------------------------------------------------------------
+
+struct Verb {
+  std::string_view name;
   Command command;
   bool has_payload;  // followed by a data block
 };
 
-const std::unordered_map<std::string_view, CommandInfo>& CommandTable() {
-  static const auto* table = new std::unordered_map<std::string_view, CommandInfo>{
-      {"get", {Command::kGet, false}},
-      {"gets", {Command::kGets, false}},
-      {"set", {Command::kSet, true}},
-      {"add", {Command::kAdd, true}},
-      {"replace", {Command::kReplace, true}},
-      {"cas", {Command::kCas, true}},
-      {"append", {Command::kAppend, true}},
-      {"prepend", {Command::kPrepend, true}},
-      {"delete", {Command::kDelete, false}},
-      {"incr", {Command::kIncr, false}},
-      {"decr", {Command::kDecr, false}},
-      {"flush_all", {Command::kFlushAll, false}},
-      {"stats", {Command::kStats, false}},
-      {"quit", {Command::kQuit, false}},
-      {"iqget", {Command::kIQGet, false}},
-      {"iqset", {Command::kIQSet, true}},
-      {"qaread", {Command::kQaRead, false}},
-      {"sar", {Command::kSaR, true}},
-      {"sarnull", {Command::kSaRNull, false}},
-      {"genid", {Command::kGenId, false}},
-      {"qareg", {Command::kQaReg, false}},
-      {"dar", {Command::kDaR, false}},
-      {"iqappend", {Command::kIQAppend, true}},
-      {"iqprepend", {Command::kIQPrepend, true}},
-      {"iqincr", {Command::kIQIncr, false}},
-      {"iqdecr", {Command::kIQDecr, false}},
-      {"commit", {Command::kCommit, false}},
-      {"abort", {Command::kAbort, false}},
-      {"release", {Command::kRelease, false}},
-      {"sweep", {Command::kSweep, false}},
-      {"metrics", {Command::kMetrics, false}},
-      {"trace", {Command::kTrace, false}},
-  };
-  return *table;
+/// Indexed by Command: ToString() reads it one way, the parser the other.
+constexpr Verb kVerbs[] = {
+    {"get", Command::kGet, false},
+    {"gets", Command::kGets, false},
+    {"set", Command::kSet, true},
+    {"add", Command::kAdd, true},
+    {"replace", Command::kReplace, true},
+    {"cas", Command::kCas, true},
+    {"append", Command::kAppend, true},
+    {"prepend", Command::kPrepend, true},
+    {"delete", Command::kDelete, false},
+    {"incr", Command::kIncr, false},
+    {"decr", Command::kDecr, false},
+    {"flush_all", Command::kFlushAll, false},
+    {"stats", Command::kStats, false},
+    {"quit", Command::kQuit, false},
+    {"iqget", Command::kIQGet, false},
+    {"iqset", Command::kIQSet, true},
+    {"qaread", Command::kQaRead, false},
+    {"sar", Command::kSaR, true},
+    {"sarnull", Command::kSaRNull, false},
+    {"genid", Command::kGenId, false},
+    {"qareg", Command::kQaReg, false},
+    {"dar", Command::kDaR, false},
+    {"iqappend", Command::kIQAppend, true},
+    {"iqprepend", Command::kIQPrepend, true},
+    {"iqincr", Command::kIQIncr, false},
+    {"iqdecr", Command::kIQDecr, false},
+    {"commit", Command::kCommit, false},
+    {"abort", Command::kAbort, false},
+    {"release", Command::kRelease, false},
+    {"sweep", Command::kSweep, false},
+    {"metrics", Command::kMetrics, false},
+    {"trace", Command::kTrace, false},
+};
+
+constexpr bool VerbsIndexedByCommand() {
+  for (std::size_t i = 0; i < std::size(kVerbs); ++i) {
+    if (static_cast<std::size_t>(kVerbs[i].command) != i) return false;
+  }
+  return static_cast<std::size_t>(Command::kTrace) + 1 == std::size(kVerbs);
+}
+static_assert(VerbsIndexedByCommand());
+
+/// Linear scan over 32 short names, comparing length and first byte before
+/// any memcmp: no hashing and no allocation.
+const Verb* FindVerb(std::string_view name) {
+  for (const Verb& v : kVerbs) {
+    if (v.name.size() == name.size() && v.name[0] == name[0] &&
+        std::memcmp(v.name.data(), name.data(), name.size()) == 0) {
+      return &v;
+    }
+  }
+  return nullptr;
 }
 
-/// Expected payload size for a storage-style command line, or nullopt for
-/// malformed lines. Fills the non-payload fields of *req.
-std::optional<std::size_t> ParseCommandLine(
-    const std::vector<std::string_view>& tok, const CommandInfo& info,
-    Request* req, std::string* error) {
-  auto fail = [&](const char* msg) -> std::optional<std::size_t> {
-    *error = msg;
-    return std::nullopt;
+// ---- requests ------------------------------------------------------------------
+
+/// A request line's fields as views into the line; nothing owned.
+struct RequestLine {
+  std::string_view key;
+  std::string_view more_keys;  // multi-key get: the line after the first key
+  std::uint64_t payload = 0;   // <bytes> of the data block
+  std::uint32_t flags = 0;
+  std::int64_t exptime = 0;
+  std::uint64_t cas_unique = 0;
+  std::uint64_t amount = 0;
+  std::uint64_t token = 0;
+  std::uint64_t session = 0;
+};
+
+/// Parse the arguments after the verb. Returns the error text for a
+/// malformed line, nullptr on success.
+const char* ParseArgs(Command command, Tokens& tok, RequestLine* line) {
+  std::string_view a, b, c, d;
+  auto u64 = [](std::string_view s, std::uint64_t* v) {
+    auto n = ParseU64(s);
+    if (n) *v = *n;
+    return n.has_value();
   };
-  req->command = info.command;
-  switch (info.command) {
+  switch (command) {
     case Command::kGet:
     case Command::kGets:
       // Multi-key retrieval per the real memcached protocol: one request
       // line, N keys, one END-terminated response.
-      if (tok.size() < 2) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      req->keys.reserve(tok.size() - 1);
-      for (std::size_t i = 1; i < tok.size(); ++i) {
-        req->keys.emplace_back(tok[i]);
-      }
-      return 0;
+      line->key = tok.Next();
+      if (line->key.empty()) return "bad argument count";
+      if (!tok.Done()) line->more_keys = tok.Rest();
+      return nullptr;
     case Command::kDelete:
-      if (tok.size() != 2) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      return 0;
+      if (!Exactly(tok, &line->key)) return "bad argument count";
+      return nullptr;
     case Command::kSet:
     case Command::kAdd:
     case Command::kReplace:
     case Command::kAppend:
-    case Command::kPrepend: {
-      if (tok.size() != 5) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto flags = ParseU64(tok[2]);
-      auto exptime = ParseI64(tok[3]);
-      auto bytes = ParseU64(tok[4]);
-      if (!flags || !exptime || !bytes) return fail("bad numeric field");
-      req->flags = static_cast<std::uint32_t>(*flags);
-      req->exptime = *exptime;
-      return *bytes;
-    }
+    case Command::kPrepend:
     case Command::kCas: {
-      if (tok.size() != 6) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto flags = ParseU64(tok[2]);
-      auto exptime = ParseI64(tok[3]);
-      auto bytes = ParseU64(tok[4]);
-      auto unique = ParseU64(tok[5]);
-      if (!flags || !exptime || !bytes || !unique) return fail("bad numeric field");
-      req->flags = static_cast<std::uint32_t>(*flags);
-      req->exptime = *exptime;
-      req->cas_unique = *unique;
-      return *bytes;
+      bool ok = command == Command::kCas
+                    ? Exactly(tok, &line->key, &a, &b, &c, &d)
+                    : Exactly(tok, &line->key, &a, &b, &c);
+      if (!ok) return "bad argument count";
+      std::uint64_t flags = 0;
+      auto exptime = ParseI64(b);
+      if (!u64(a, &flags) || !exptime || !u64(c, &line->payload) ||
+          (command == Command::kCas && !u64(d, &line->cas_unique))) {
+        return "bad numeric field";
+      }
+      line->flags = static_cast<std::uint32_t>(flags);
+      line->exptime = *exptime;
+      return nullptr;
     }
     case Command::kIncr:
-    case Command::kDecr: {
-      if (tok.size() != 3) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto amount = ParseU64(tok[2]);
-      if (!amount) return fail("bad amount");
-      req->amount = *amount;
-      return 0;
-    }
+    case Command::kDecr:
+      if (!Exactly(tok, &line->key, &a)) return "bad argument count";
+      if (!u64(a, &line->amount)) return "bad amount";
+      return nullptr;
     case Command::kFlushAll:
     case Command::kStats:
     case Command::kQuit:
     case Command::kGenId:
     case Command::kSweep:
     case Command::kMetrics:
-      if (tok.size() != 1) return fail("bad argument count");
-      return 0;
-    case Command::kTrace: {
+      if (!tok.Done()) return "bad argument count";
+      return nullptr;
+    case Command::kTrace:
       // Optional event count: `trace` or `trace <n>`. 0 (or omitted) means
       // the server default.
-      if (tok.size() > 2) return fail("bad argument count");
-      if (tok.size() == 2) {
-        auto n = ParseU64(tok[1]);
-        if (!n) return fail("bad event count");
-        req->amount = *n;
-      }
-      return 0;
-    }
+      if (tok.Done()) return nullptr;
+      if (!Exactly(tok, &a)) return "bad argument count";
+      if (!u64(a, &line->amount)) return "bad event count";
+      return nullptr;
     case Command::kIQGet:
-    case Command::kQaRead: {
-      if (tok.size() != 3) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto session = ParseU64(tok[2]);
-      if (!session) return fail("bad session id");
-      req->session = *session;
-      return 0;
-    }
+    case Command::kQaRead:
+      if (!Exactly(tok, &line->key, &a)) return "bad argument count";
+      if (!u64(a, &line->session)) return "bad session id";
+      return nullptr;
     case Command::kIQSet:
-    case Command::kSaR: {
-      if (tok.size() != 4) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto token = ParseU64(tok[2]);
-      auto bytes = ParseU64(tok[3]);
-      if (!token || !bytes) return fail("bad numeric field");
-      req->token = *token;
-      return *bytes;
-    }
-    case Command::kSaRNull: {
-      if (tok.size() != 3) return fail("bad argument count");
-      req->key = std::string(tok[1]);
-      auto token = ParseU64(tok[2]);
-      if (!token) return fail("bad token");
-      req->token = *token;
-      return 0;
-    }
+    case Command::kSaR:
+      if (!Exactly(tok, &line->key, &a, &b)) return "bad argument count";
+      if (!u64(a, &line->token) || !u64(b, &line->payload)) {
+        return "bad numeric field";
+      }
+      return nullptr;
+    case Command::kSaRNull:
+      if (!Exactly(tok, &line->key, &a)) return "bad argument count";
+      if (!u64(a, &line->token)) return "bad token";
+      return nullptr;
     case Command::kQaReg:
-    case Command::kRelease: {
-      if (tok.size() != 3) return fail("bad argument count");
-      auto tid = ParseU64(tok[1]);
-      if (!tid) return fail("bad tid");
-      req->session = *tid;
-      req->key = std::string(tok[2]);
-      return 0;
-    }
+    case Command::kRelease:
+      if (!Exactly(tok, &a, &line->key)) return "bad argument count";
+      if (!u64(a, &line->session)) return "bad tid";
+      return nullptr;
     case Command::kDaR:
     case Command::kCommit:
-    case Command::kAbort: {
-      if (tok.size() != 2) return fail("bad argument count");
-      auto tid = ParseU64(tok[1]);
-      if (!tid) return fail("bad tid");
-      req->session = *tid;
-      return 0;
-    }
+    case Command::kAbort:
+      if (!Exactly(tok, &a)) return "bad argument count";
+      if (!u64(a, &line->session)) return "bad tid";
+      return nullptr;
     case Command::kIQAppend:
-    case Command::kIQPrepend: {
-      if (tok.size() != 4) return fail("bad argument count");
-      auto tid = ParseU64(tok[1]);
-      auto bytes = ParseU64(tok[3]);
-      if (!tid || !bytes) return fail("bad numeric field");
-      req->session = *tid;
-      req->key = std::string(tok[2]);
-      return *bytes;
-    }
+    case Command::kIQPrepend:
+      if (!Exactly(tok, &a, &line->key, &b)) return "bad argument count";
+      if (!u64(a, &line->session) || !u64(b, &line->payload)) {
+        return "bad numeric field";
+      }
+      return nullptr;
     case Command::kIQIncr:
-    case Command::kIQDecr: {
-      if (tok.size() != 4) return fail("bad argument count");
-      auto tid = ParseU64(tok[1]);
-      auto amount = ParseU64(tok[3]);
-      if (!tid || !amount) return fail("bad numeric field");
-      req->session = *tid;
-      req->key = std::string(tok[2]);
-      req->amount = *amount;
-      return 0;
+    case Command::kIQDecr:
+      if (!Exactly(tok, &a, &line->key, &b)) return "bad argument count";
+      if (!u64(a, &line->session) || !u64(b, &line->amount)) {
+        return "bad numeric field";
+      }
+      return nullptr;
+  }
+  return "unhandled command";
+}
+
+void Fill(Request* out, Command command, const RequestLine& line,
+          std::string_view data) {
+  out->command = command;
+  out->key.assign(line.key);
+  out->keys.clear();
+  if (!line.more_keys.empty()) {
+    out->keys.emplace_back(line.key);
+    Tokens more(line.more_keys);
+    for (std::string_view k = more.Next(); !k.empty(); k = more.Next()) {
+      out->keys.emplace_back(k);
     }
   }
-  return fail("unhandled command");
+  out->data.assign(data);
+  out->flags = line.flags;
+  out->exptime = line.exptime;
+  out->cas_unique = line.cas_unique;
+  out->amount = line.amount;
+  out->token = line.token;
+  out->session = line.session;
 }
 
-}  // namespace
-
-const char* ToString(Command c) {
-  switch (c) {
-    case Command::kGet: return "get";
-    case Command::kGets: return "gets";
-    case Command::kSet: return "set";
-    case Command::kAdd: return "add";
-    case Command::kReplace: return "replace";
-    case Command::kCas: return "cas";
-    case Command::kAppend: return "append";
-    case Command::kPrepend: return "prepend";
-    case Command::kDelete: return "delete";
-    case Command::kIncr: return "incr";
-    case Command::kDecr: return "decr";
-    case Command::kFlushAll: return "flush_all";
-    case Command::kStats: return "stats";
-    case Command::kQuit: return "quit";
-    case Command::kIQGet: return "iqget";
-    case Command::kIQSet: return "iqset";
-    case Command::kQaRead: return "qaread";
-    case Command::kSaR: return "sar";
-    case Command::kSaRNull: return "sarnull";
-    case Command::kGenId: return "genid";
-    case Command::kQaReg: return "qareg";
-    case Command::kDaR: return "dar";
-    case Command::kIQAppend: return "iqappend";
-    case Command::kIQPrepend: return "iqprepend";
-    case Command::kIQIncr: return "iqincr";
-    case Command::kIQDecr: return "iqdecr";
-    case Command::kCommit: return "commit";
-    case Command::kAbort: return "abort";
-    case Command::kRelease: return "release";
-    case Command::kSweep: return "sweep";
-    case Command::kMetrics: return "metrics";
-    case Command::kTrace: return "trace";
+/// Parse (out != nullptr) or just frame (out == nullptr) the request at the
+/// front of `bytes`. *consumed: the message length on kOk, the bytes to skip
+/// on kError, and on kNeedMore the size the bytes must reach before another
+/// attempt can succeed. `error` and `verb` may be null.
+ParseStatus ParseRequest(std::string_view bytes, Request* out,
+                         std::size_t* consumed, std::string* error,
+                         const Verb** verb) {
+  std::size_t eol = bytes.find("\r\n");
+  if (eol == std::string_view::npos) {
+    *consumed = bytes.size() + 1;
+    return ParseStatus::kNeedMore;
   }
-  return "?";
-}
-
-void RequestParser::ConsumeTo(std::size_t end) {
-  pos_ = end;
-  if (pos_ == buffer_.size()) {
-    buffer_.clear();
-    pos_ = 0;
-  } else if (pos_ > buffer_.size() / 2) {
-    buffer_.erase(0, pos_);  // one memmove of the unconsumed tail
-    pos_ = 0;
+  std::size_t line_end = eol + 2;
+  auto fail = [&](std::size_t skip, const char* why) {
+    *consumed = skip;
+    if (error != nullptr) *error = why;
+    return ParseStatus::kError;
+  };
+  Tokens tok(bytes.substr(0, eol));
+  std::string_view name = tok.Next();
+  if (name.empty()) return fail(line_end, "empty command line");
+  const Verb* v = FindVerb(name);
+  if (v == nullptr) {
+    *consumed = line_end;
+    if (error != nullptr) {
+      error->assign("unknown command '").append(name).append("'");
+    }
+    return ParseStatus::kError;
   }
-}
-
-RequestParser::Status RequestParser::Next(Request* out, std::string* error) {
-  std::size_t eol = buffer_.find("\r\n", pos_);
-  if (eol == std::string::npos) return Status::kNeedMore;
-  std::string_view line(buffer_.data() + pos_, eol - pos_);
-  auto tokens = SplitTokens(line);
-  if (tokens.empty()) {
-    *error = "empty command line";
-    ConsumeTo(eol + 2);
-    return Status::kError;
+  RequestLine line;
+  if (const char* why = ParseArgs(v->command, tok, &line)) {
+    return fail(line_end, why);
   }
-  auto it = CommandTable().find(tokens[0]);
-  if (it == CommandTable().end()) {
-    *error = "unknown command '" + std::string(tokens[0]) + "'";
-    ConsumeTo(eol + 2);
-    return Status::kError;
-  }
-  Request req;
-  auto payload = ParseCommandLine(tokens, it->second, &req, error);
-  if (!payload) {
-    ConsumeTo(eol + 2);
-    return Status::kError;
-  }
-  std::size_t need = *payload;
-  if (it->second.has_payload) {
+  std::string_view data;
+  std::size_t total = line_end;
+  if (v->has_payload) {
+    std::uint64_t need = line.payload;
     if (need > kMaxPayloadBytes) {
       // Never wait for (or index past) an absurd length claim; see the
       // kMaxPayloadBytes comment. Resync past the command line — the bytes
       // the peer meant as payload will parse as garbage commands and draw
       // further CLIENT_ERRORs, but nothing is silently executed as data.
-      *error = "payload exceeds protocol limit";
-      ConsumeTo(eol + 2);
-      return Status::kError;
+      return fail(line_end, "payload exceeds protocol limit");
     }
     // Data block: <need> bytes followed by \r\n. `avail`-style comparisons
     // keep the arithmetic overflow-free even if the cap above ever moves.
-    std::size_t avail = buffer_.size() - (eol + 2);
-    if (avail < need || avail - need < 2) return Status::kNeedMore;
-    std::size_t total = eol + 2 + need + 2;
-    if (buffer_[eol + 2 + need] != '\r' || buffer_[eol + 2 + need + 1] != '\n') {
-      *error = "bad data chunk terminator";
-      ConsumeTo(total);
-      return Status::kError;
+    std::size_t avail = bytes.size() - line_end;
+    if (avail < need || avail - need < 2) {
+      *consumed = line_end + need + 2;
+      return ParseStatus::kNeedMore;
     }
-    req.data = buffer_.substr(eol + 2, need);
-    ConsumeTo(total);
-  } else {
-    ConsumeTo(eol + 2);
+    total = line_end + need + 2;
+    if (bytes[total - 2] != '\r' || bytes[total - 1] != '\n') {
+      return fail(total, "bad data chunk terminator");
+    }
+    data = bytes.substr(line_end, need);
   }
-  *out = std::move(req);
-  return Status::kOk;
+  *consumed = total;
+  if (verb != nullptr) *verb = v;
+  if (out != nullptr) Fill(out, v->command, line, data);
+  return ParseStatus::kOk;
+}
+
+}  // namespace
+
+const char* ToString(Command c) {
+  // Every name is a string literal, so data() is NUL-terminated.
+  return kVerbs[static_cast<std::size_t>(c)].name.data();
+}
+
+// ---- receive buffer ----------------------------------------------------------
+
+std::span<char> RecvBuffer::WritableTail(std::size_t min_bytes) {
+  if (capacity_ - end_ < min_bytes) {
+    std::size_t unread = size();
+    if (begin_ >= unread && capacity_ - unread >= min_bytes) {
+      // Slide the unread bytes to the front. Only when they are no longer
+      // than the consumed prefix, so every byte moves O(1) times overall.
+      std::memmove(data_.get(), data_.get() + begin_, unread);
+    } else {
+      std::size_t grown = std::max(capacity_ * 2, unread + min_bytes);
+      std::unique_ptr<char[]> bigger(new char[grown]);
+      if (unread > 0) std::memcpy(bigger.get(), data_.get() + begin_, unread);
+      data_ = std::move(bigger);
+      capacity_ = grown;
+    }
+    begin_ = 0;
+    end_ = unread;
+  }
+  return std::span<char>(data_.get() + end_, capacity_ - end_);
+}
+
+void RecvBuffer::Append(std::string_view bytes) {
+  if (bytes.empty()) return;
+  std::memcpy(WritableTail(bytes.size()).data(), bytes.data(), bytes.size());
+  Commit(bytes.size());
+}
+
+void RecvBuffer::Consume(std::size_t n) {
+  begin_ += n;
+  if (begin_ == end_) begin_ = end_ = 0;
+}
+
+// ---- request parser ----------------------------------------------------------
+
+RequestParser::Status RequestParser::Next(Request* out, std::string* error) {
+  if (buffer_.size() < need_) return Status::kNeedMore;
+  std::size_t consumed = 0;
+  Status status =
+      ParseRequest(buffer_.Unread(), out, &consumed, error, nullptr);
+  if (status == Status::kNeedMore) {
+    need_ = consumed;
+  } else {
+    buffer_.Consume(consumed);
+    need_ = 0;
+  }
+  return status;
+}
+
+std::size_t ExpectedReplies(std::string_view bytes) {
+  std::size_t replies = 0;
+  while (!bytes.empty()) {
+    std::size_t consumed = 0;
+    const Verb* verb = nullptr;
+    ParseStatus status =
+        ParseRequest(bytes, nullptr, &consumed, nullptr, &verb);
+    if (status == ParseStatus::kNeedMore) break;
+    if (status == ParseStatus::kOk && verb->command == Command::kQuit) break;
+    ++replies;  // kError draws one CLIENT_ERROR
+    bytes.remove_prefix(consumed);
+  }
+  return replies;
 }
 
 void AppendTo(const Request& r, std::string* out) {
@@ -352,16 +422,10 @@ void AppendTo(const Request& r, std::string* out) {
     out->append(r.data);
     out->append("\r\n");
   };
-  auto keyed_line = [&](const char* verb) {
-    out->append(verb);
-    out->push_back(' ');
-    out->append(r.key);
-    out->append("\r\n");
-  };
+  out->append(ToString(r.command));
   switch (r.command) {
     case Command::kGet:
     case Command::kGets:
-      out->append(ToString(r.command));
       if (r.keys.empty()) {
         out->push_back(' ');
         out->append(r.key);
@@ -378,7 +442,6 @@ void AppendTo(const Request& r, std::string* out) {
     case Command::kReplace:
     case Command::kAppend:
     case Command::kPrepend:
-      out->append(ToString(r.command));
       out->push_back(' ');
       out->append(r.key);
       out->push_back(' ');
@@ -388,7 +451,7 @@ void AppendTo(const Request& r, std::string* out) {
       data_block();
       return;
     case Command::kCas:
-      out->append("cas ");
+      out->push_back(' ');
       out->append(r.key);
       out->push_back(' ');
       AppendU64(out, r.flags);
@@ -403,23 +466,35 @@ void AppendTo(const Request& r, std::string* out) {
       out->append("\r\n");
       return;
     case Command::kDelete:
-      keyed_line("delete");
+      out->push_back(' ');
+      out->append(r.key);
+      out->append("\r\n");
       return;
     case Command::kIncr:
     case Command::kDecr:
-      out->append(ToString(r.command));
       out->push_back(' ');
       out->append(r.key);
       out->push_back(' ');
       AppendU64(out, r.amount);
       out->append("\r\n");
       return;
-    case Command::kFlushAll: out->append("flush_all\r\n"); return;
-    case Command::kStats: out->append("stats\r\n"); return;
-    case Command::kQuit: out->append("quit\r\n"); return;
+    case Command::kFlushAll:
+    case Command::kStats:
+    case Command::kQuit:
+    case Command::kGenId:
+    case Command::kSweep:
+    case Command::kMetrics:
+      out->append("\r\n");
+      return;
+    case Command::kTrace:
+      if (r.amount != 0) {
+        out->push_back(' ');
+        AppendU64(out, r.amount);
+      }
+      out->append("\r\n");
+      return;
     case Command::kIQGet:
     case Command::kQaRead:
-      out->append(ToString(r.command));
       out->push_back(' ');
       out->append(r.key);
       out->push_back(' ');
@@ -428,7 +503,6 @@ void AppendTo(const Request& r, std::string* out) {
       return;
     case Command::kIQSet:
     case Command::kSaR:
-      out->append(ToString(r.command));
       out->push_back(' ');
       out->append(r.key);
       out->push_back(' ');
@@ -436,26 +510,14 @@ void AppendTo(const Request& r, std::string* out) {
       data_block();
       return;
     case Command::kSaRNull:
-      out->append("sarnull ");
+      out->push_back(' ');
       out->append(r.key);
       out->push_back(' ');
       AppendU64(out, r.token);
       out->append("\r\n");
       return;
-    case Command::kGenId: out->append("genid\r\n"); return;
-    case Command::kSweep: out->append("sweep\r\n"); return;
-    case Command::kMetrics: out->append("metrics\r\n"); return;
-    case Command::kTrace:
-      out->append("trace");
-      if (r.amount != 0) {
-        out->push_back(' ');
-        AppendU64(out, r.amount);
-      }
-      out->append("\r\n");
-      return;
     case Command::kQaReg:
     case Command::kRelease:
-      out->append(ToString(r.command));
       out->push_back(' ');
       AppendU64(out, r.session);
       out->push_back(' ');
@@ -465,14 +527,12 @@ void AppendTo(const Request& r, std::string* out) {
     case Command::kDaR:
     case Command::kCommit:
     case Command::kAbort:
-      out->append(ToString(r.command));
       out->push_back(' ');
       AppendU64(out, r.session);
       out->append("\r\n");
       return;
     case Command::kIQAppend:
     case Command::kIQPrepend:
-      out->append(ToString(r.command));
       out->push_back(' ');
       AppendU64(out, r.session);
       out->push_back(' ');
@@ -481,7 +541,6 @@ void AppendTo(const Request& r, std::string* out) {
       return;
     case Command::kIQIncr:
     case Command::kIQDecr:
-      out->append(ToString(r.command));
       out->push_back(' ');
       AppendU64(out, r.session);
       out->push_back(' ');
@@ -493,13 +552,55 @@ void AppendTo(const Request& r, std::string* out) {
   }
 }
 
-std::string Serialize(const Request& r) {
-  std::string out;
-  AppendTo(r, &out);
-  return out;
-}
+// ---- responses -------------------------------------------------------------------
 
 namespace {
+
+/// Replies that are one fixed word: the serializer and the parser share it.
+struct ReplyWord {
+  std::string_view word;
+  ResponseType type;
+};
+
+constexpr ReplyWord kReplyWords[] = {
+    {"END", ResponseType::kEnd},
+    {"STORED", ResponseType::kStored},
+    {"NOT_STORED", ResponseType::kNotStored},
+    {"EXISTS", ResponseType::kExists},
+    {"NOT_FOUND", ResponseType::kNotFound},
+    {"DELETED", ResponseType::kDeleted},
+    {"OK", ResponseType::kOk},
+    {"MISS_BACKOFF", ResponseType::kMissBackoff},
+    {"MISS_NOLEASE", ResponseType::kMissNoLease},
+    {"REJECT", ResponseType::kReject},
+    {"GRANTED", ResponseType::kGranted},
+    {"ERROR", ResponseType::kError},
+};
+
+/// Replies whose head is followed by one decimal number.
+constexpr ReplyWord kNumberedReplies[] = {
+    {"MISS_TOKEN", ResponseType::kMissToken},
+    {"QMISS", ResponseType::kQMiss},
+    {"ID", ResponseType::kId},
+};
+
+template <std::size_t N>
+const ReplyWord* FindReply(const ReplyWord (&table)[N], std::string_view head) {
+  for (const ReplyWord& w : table) {
+    if (w.word == head) return &w;
+  }
+  return nullptr;
+}
+
+std::string_view WordOf(ResponseType type) {
+  for (const ReplyWord& w : kReplyWords) {
+    if (w.type == type) return w.word;
+  }
+  for (const ReplyWord& w : kNumberedReplies) {
+    if (w.type == type) return w.word;
+  }
+  return {};
+}
 
 void AppendValueBlock(std::string* out, const std::string& key,
                       const std::string& data, std::uint32_t flags,
@@ -527,6 +628,106 @@ void AppendValueBlock(std::string* out, const std::string& key,
   out->append("\r\n");
 }
 
+/// A sized data block of `size` bytes plus \r\n starting at `at`.
+ParseStatus TakeBlock(std::string_view bytes, std::size_t at,
+                      std::uint64_t size, std::string_view* block) {
+  if (size > kMaxPayloadBytes) return ParseStatus::kError;
+  std::size_t avail = bytes.size() - at;
+  if (avail < size || avail - size < 2) return ParseStatus::kNeedMore;
+  if (bytes[at + size] != '\r' || bytes[at + size + 1] != '\n') {
+    return ParseStatus::kError;
+  }
+  *block = bytes.substr(at, size);
+  return ParseStatus::kOk;
+}
+
+/// Lines up to a line reading exactly END (STAT and TRACE replies). On kOk
+/// *end is where the END line starts.
+ParseStatus FindEndLine(std::string_view bytes, std::size_t* end) {
+  std::size_t off = 0;
+  while (true) {
+    std::size_t eol = bytes.find("\r\n", off);
+    if (eol == std::string_view::npos) return ParseStatus::kNeedMore;
+    if (bytes.substr(off, eol - off) == "END") {
+      *end = off;
+      return ParseStatus::kOk;
+    }
+    off = eol + 2;
+  }
+}
+
+/// The VALUE blocks of a get reply, up to its END. Hit 0 goes to the
+/// single-value fields; a second hit moves the reply into `values`.
+ParseStatus ParseValueBlocks(std::string_view bytes, Response* out,
+                             std::size_t* consumed) {
+  std::size_t off = 0;
+  std::size_t hits = 0;
+  while (true) {
+    if (bytes.size() - off >= 5 && bytes.compare(off, 5, "END\r\n") == 0) {
+      *consumed = off + 5;
+      return ParseStatus::kOk;
+    }
+    std::size_t eol = bytes.find("\r\n", off);
+    if (eol == std::string_view::npos) return ParseStatus::kNeedMore;
+    Tokens tok(bytes.substr(off, eol - off));
+    std::string_view head = tok.Next(), key = tok.Next(),
+                     flags_tok = tok.Next(), size_tok = tok.Next();
+    if (head != "VALUE" || size_tok.empty()) return ParseStatus::kError;
+    auto flags = ParseU64(flags_tok);
+    auto size = ParseU64(size_tok);
+    if (!flags || !size) return ParseStatus::kError;
+    std::string_view data;
+    ParseStatus block = TakeBlock(bytes, eol + 2, *size, &data);
+    if (block != ParseStatus::kOk) return block;
+    off = eol + 2 + data.size() + 2;
+    if (out == nullptr) {
+      ++hits;
+      continue;
+    }
+    std::uint64_t cas_unique = 0;
+    std::uint64_t ttl_ns = 0;
+    for (std::string_view extra = tok.Next(); !extra.empty();
+         extra = tok.Next()) {
+      if (extra[0] == 'T') {
+        // Trailing near-cache validity duration (see protocol.h).
+        if (auto ttl = ParseU64(extra.substr(1))) ttl_ns = *ttl;
+      } else if (auto cas = ParseU64(extra)) {
+        cas_unique = *cas;
+        out->with_cas = true;
+      }
+    }
+    if (hits == 0) {
+      out->key.assign(key);
+      out->data.assign(data);
+      out->flags = static_cast<std::uint32_t>(*flags);
+      out->cas_unique = cas_unique;
+      out->ttl_ns = ttl_ns;
+    } else {
+      if (hits == 1) {
+        out->values.push_back(ValueEntry{out->key, out->data, out->flags,
+                                         out->cas_unique, out->ttl_ns});
+      }
+      out->values.push_back(ValueEntry{std::string(key), std::string(data),
+                                       static_cast<std::uint32_t>(*flags),
+                                       cas_unique, ttl_ns});
+    }
+    ++hits;
+  }
+}
+
+void Reset(Response* out, ResponseType type) {
+  out->type = type;
+  out->key.clear();
+  out->data.clear();
+  out->flags = 0;
+  out->cas_unique = 0;
+  out->with_cas = false;
+  out->ttl_ns = 0;
+  out->number = 0;
+  out->message.clear();
+  out->values.clear();
+}
+
 }  // namespace
 
 void AppendTo(const Response& r, std::string* out) {
@@ -543,12 +744,6 @@ void AppendTo(const Response& r, std::string* out) {
       }
       out->append("END\r\n");
       return;
-    case ResponseType::kEnd: out->append("END\r\n"); return;
-    case ResponseType::kStored: out->append("STORED\r\n"); return;
-    case ResponseType::kNotStored: out->append("NOT_STORED\r\n"); return;
-    case ResponseType::kExists: out->append("EXISTS\r\n"); return;
-    case ResponseType::kNotFound: out->append("NOT_FOUND\r\n"); return;
-    case ResponseType::kDeleted: out->append("DELETED\r\n"); return;
     case ResponseType::kNumber:
       AppendU64(out, r.number);
       out->append("\r\n");
@@ -562,18 +757,18 @@ void AppendTo(const Response& r, std::string* out) {
         out->append("\r\n");
       }
       return;
-    case ResponseType::kOk: out->append("OK\r\n"); return;
     case ResponseType::kStats:
       out->append(r.message);
       out->append("END\r\n");
       return;
     case ResponseType::kMissToken:
-      out->append("MISS_TOKEN ");
+    case ResponseType::kQMiss:
+    case ResponseType::kId:
+      out->append(WordOf(r.type));
+      out->push_back(' ');
       AppendU64(out, r.number);
       out->append("\r\n");
       return;
-    case ResponseType::kMissBackoff: out->append("MISS_BACKOFF\r\n"); return;
-    case ResponseType::kMissNoLease: out->append("MISS_NOLEASE\r\n"); return;
     case ResponseType::kQValue:
       out->append("QVALUE ");
       AppendU64(out, r.number);
@@ -581,18 +776,6 @@ void AppendTo(const Response& r, std::string* out) {
       AppendU64(out, r.data.size());
       out->append("\r\n");
       out->append(r.data);
-      out->append("\r\n");
-      return;
-    case ResponseType::kQMiss:
-      out->append("QMISS ");
-      AppendU64(out, r.number);
-      out->append("\r\n");
-      return;
-    case ResponseType::kReject: out->append("REJECT\r\n"); return;
-    case ResponseType::kGranted: out->append("GRANTED\r\n"); return;
-    case ResponseType::kId:
-      out->append("ID ");
-      AppendU64(out, r.number);
       out->append("\r\n");
       return;
     case ResponseType::kMetrics:
@@ -617,159 +800,93 @@ void AppendTo(const Response& r, std::string* out) {
       out->append(r.message.empty() ? "transport failure" : r.message);
       out->append("\r\n");
       return;
+    default:
+      out->append(WordOf(r.type));
+      out->append("\r\n");
+      return;
   }
 }
 
-std::string Serialize(const Response& r) {
-  std::string out;
-  AppendTo(r, &out);
-  return out;
-}
-
-std::optional<Response> ParseResponse(std::string_view bytes,
-                                      std::size_t* consumed) {
+ParseStatus ParseResponse(std::string_view bytes, Response* out,
+                          std::size_t* consumed) {
   std::size_t eol = bytes.find("\r\n");
-  if (eol == std::string_view::npos) return std::nullopt;
+  if (eol == std::string_view::npos) return ParseStatus::kNeedMore;
   std::string_view line = bytes.substr(0, eol);
-  auto tokens = SplitTokens(line);
-  if (tokens.empty()) return std::nullopt;
-  Response resp;
-  auto simple = [&](ResponseType t) {
-    resp.type = t;
-    *consumed = eol + 2;
-    return resp;
+  Tokens tok(line);
+  std::string_view head = tok.Next();
+  if (head.empty()) return ParseStatus::kError;
+  std::size_t line_end = eol + 2;
+  auto done = [&](ResponseType type, std::size_t size) {
+    if (out != nullptr) Reset(out, type);
+    *consumed = size;
+    return ParseStatus::kOk;
   };
-  std::string_view head = tokens[0];
-  if (head == "END") return simple(ResponseType::kEnd);
-  if (head == "STORED") return simple(ResponseType::kStored);
-  if (head == "NOT_STORED") return simple(ResponseType::kNotStored);
-  if (head == "EXISTS") return simple(ResponseType::kExists);
-  if (head == "NOT_FOUND") return simple(ResponseType::kNotFound);
-  if (head == "DELETED") return simple(ResponseType::kDeleted);
-  if (head == "OK") return simple(ResponseType::kOk);
-  if (head == "MISS_BACKOFF") return simple(ResponseType::kMissBackoff);
-  if (head == "MISS_NOLEASE") return simple(ResponseType::kMissNoLease);
-  if (head == "REJECT") return simple(ResponseType::kReject);
-  if (head == "GRANTED") return simple(ResponseType::kGranted);
-  if (head == "ERROR") return simple(ResponseType::kError);
-  if (head == "CLIENT_ERROR") {
-    resp.type = ResponseType::kError;
-    resp.message = std::string(line.substr(13));
-    *consumed = eol + 2;
-    return resp;
-  }
-  if (head == "SERVER_ERROR") {
-    resp.type = ResponseType::kTransportError;
-    resp.message = line.size() > 13 ? std::string(line.substr(13)) : "";
-    *consumed = eol + 2;
-    return resp;
-  }
-  if (head == "MISS_TOKEN" || head == "QMISS" || head == "ID") {
-    if (tokens.size() != 2) return std::nullopt;
-    auto n = ParseU64(tokens[1]);
-    if (!n) return std::nullopt;
-    resp.type = head == "MISS_TOKEN" ? ResponseType::kMissToken
-                : head == "QMISS"    ? ResponseType::kQMiss
-                                     : ResponseType::kId;
-    resp.number = *n;
-    *consumed = eol + 2;
-    return resp;
-  }
+
   if (head == "VALUE") {
     // One or more VALUE blocks (multi-key get), terminated by END.
-    resp.type = ResponseType::kValue;
-    std::size_t off = 0;
-    while (true) {
-      if (bytes.size() - off >= 5 && bytes.compare(off, 5, "END\r\n") == 0) {
-        *consumed = off + 5;
-        break;
-      }
-      std::size_t block_eol = bytes.find("\r\n", off);
-      if (block_eol == std::string_view::npos) return std::nullopt;
-      auto btok = SplitTokens(bytes.substr(off, block_eol - off));
-      if (btok.size() < 4 || btok[0] != "VALUE") return std::nullopt;
-      auto flags = ParseU64(btok[2]);
-      auto size = ParseU64(btok[3]);
-      if (!flags || !size || *size > kMaxPayloadBytes) return std::nullopt;
-      std::size_t avail = bytes.size() - (block_eol + 2);
-      if (avail < *size || avail - *size < 2) return std::nullopt;
-      std::size_t data_end = block_eol + 2 + *size + 2;
-      ValueEntry entry;
-      entry.key = std::string(btok[1]);
-      entry.flags = static_cast<std::uint32_t>(*flags);
-      entry.data = std::string(bytes.substr(block_eol + 2, *size));
-      for (std::size_t i = 4; i < btok.size(); ++i) {
-        if (!btok[i].empty() && btok[i][0] == 'T') {
-          // Trailing near-cache validity duration (see protocol.h).
-          if (auto ttl = ParseU64(btok[i].substr(1))) entry.ttl_ns = *ttl;
-        } else if (auto cas = ParseU64(btok[i])) {
-          entry.cas_unique = *cas;
-          resp.with_cas = true;
-        }
-      }
-      resp.values.push_back(std::move(entry));
-      off = data_end;
+    if (out != nullptr) Reset(out, ResponseType::kValue);
+    return ParseValueBlocks(bytes, out, consumed);
+  }
+  if (const ReplyWord* w = FindReply(kReplyWords, head)) {
+    return done(w->type, line_end);
+  }
+  if (const ReplyWord* w = FindReply(kNumberedReplies, head)) {
+    std::string_view arg;
+    if (!Exactly(tok, &arg)) return ParseStatus::kError;
+    auto n = ParseU64(arg);
+    if (!n) return ParseStatus::kError;
+    done(w->type, line_end);
+    if (out != nullptr) out->number = *n;
+    return ParseStatus::kOk;
+  }
+  if (head == "CLIENT_ERROR" || head == "SERVER_ERROR") {
+    // The message is the rest of the line, possibly empty.
+    done(head == "CLIENT_ERROR" ? ResponseType::kError
+                                : ResponseType::kTransportError,
+         line_end);
+    if (out != nullptr) {
+      std::string_view rest = tok.Rest();
+      if (!rest.empty() && rest[0] == ' ') rest.remove_prefix(1);
+      out->message.assign(rest);
     }
-    // Mirror the first hit into the single-value fields so single-key
-    // callers (get/gets/iqget) keep reading resp.data as before.
-    resp.key = resp.values.front().key;
-    resp.flags = resp.values.front().flags;
-    resp.cas_unique = resp.values.front().cas_unique;
-    resp.ttl_ns = resp.values.front().ttl_ns;
-    resp.data = resp.values.front().data;
-    return resp;
+    return ParseStatus::kOk;
   }
-  if (head == "QVALUE") {
-    if (tokens.size() != 3) return std::nullopt;
-    auto token = ParseU64(tokens[1]);
-    auto size = ParseU64(tokens[2]);
-    if (!token || !size || *size > kMaxPayloadBytes) return std::nullopt;
-    std::size_t avail = bytes.size() - (eol + 2);
-    if (avail < *size || avail - *size < 2) return std::nullopt;
-    std::size_t total = eol + 2 + *size + 2;
-    resp.type = ResponseType::kQValue;
-    resp.number = *token;
-    resp.data = std::string(bytes.substr(eol + 2, *size));
-    *consumed = total;
-    return resp;
+  if (head == "QVALUE" || head == "METRICS") {
+    bool qvalue = head == "QVALUE";
+    std::string_view a, b;
+    if (qvalue ? !Exactly(tok, &a, &b) : !Exactly(tok, &b)) {
+      return ParseStatus::kError;
+    }
+    auto token = qvalue ? ParseU64(a) : std::optional<std::uint64_t>(0);
+    auto size = ParseU64(b);
+    if (!token || !size) return ParseStatus::kError;
+    std::string_view data;
+    ParseStatus block = TakeBlock(bytes, line_end, *size, &data);
+    if (block != ParseStatus::kOk) return block;
+    done(qvalue ? ResponseType::kQValue : ResponseType::kMetrics,
+         line_end + data.size() + 2);
+    if (out != nullptr) {
+      out->number = *token;
+      out->data.assign(data);
+    }
+    return ParseStatus::kOk;
   }
-  if (head == "STAT") {
-    // Collect STAT lines up to END.
-    std::size_t end = bytes.find("END\r\n");
-    if (end == std::string_view::npos) return std::nullopt;
-    resp.type = ResponseType::kStats;
-    resp.message = std::string(bytes.substr(0, end));
-    *consumed = end + 5;
-    return resp;
-  }
-  if (head == "METRICS") {
-    if (tokens.size() != 2) return std::nullopt;
-    auto size = ParseU64(tokens[1]);
-    if (!size || *size > kMaxPayloadBytes) return std::nullopt;
-    std::size_t avail = bytes.size() - (eol + 2);
-    if (avail < *size || avail - *size < 2) return std::nullopt;
-    resp.type = ResponseType::kMetrics;
-    resp.data = std::string(bytes.substr(eol + 2, *size));
-    *consumed = eol + 2 + *size + 2;
-    return resp;
-  }
-  if (head == "TRACE" || head == "TRACE_INFO") {
-    // Collect TRACE_INFO/TRACE lines up to END (same shape as STAT).
-    std::size_t end = bytes.find("END\r\n");
-    if (end == std::string_view::npos) return std::nullopt;
-    resp.type = ResponseType::kTrace;
-    resp.message = std::string(bytes.substr(0, end));
-    *consumed = end + 5;
-    return resp;
+  if (head == "STAT" || head == "TRACE" || head == "TRACE_INFO") {
+    // Raw lines up to END; the message keeps them verbatim.
+    std::size_t end = 0;
+    ParseStatus lines = FindEndLine(bytes, &end);
+    if (lines != ParseStatus::kOk) return lines;
+    done(head == "STAT" ? ResponseType::kStats : ResponseType::kTrace,
+         end + 5);
+    if (out != nullptr) out->message.assign(bytes.substr(0, end));
+    return ParseStatus::kOk;
   }
   // A bare number (incr/decr result).
-  if (auto n = ParseU64(head); n && tokens.size() == 1) {
-    resp.type = ResponseType::kNumber;
-    resp.number = *n;
-    *consumed = eol + 2;
-    return resp;
-  }
-  return std::nullopt;
+  auto n = ParseU64(head);
+  if (!n || !tok.Done()) return ParseStatus::kError;
+  done(ResponseType::kNumber, line_end);
+  if (out != nullptr) out->number = *n;
+  return ParseStatus::kOk;
 }
 
 }  // namespace iq::net

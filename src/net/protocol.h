@@ -47,11 +47,20 @@
 //      "TRACE <seq> <at> <shard> <kind> <session> <key_hash>" line each;
 //      see util/trace_ring.h)
 //
-// The parser is incremental: feed bytes, take complete requests.
+// Codec rules (DESIGN.md §4.2): one verb table serves both directions; each
+// line is tokenized once, left to right, into nothing but views; each
+// payload byte is copied once, from the receive buffer into the caller's
+// Request/Response. The parsers fill the caller's object in place: a
+// reused Request/Response keeps its string capacity, so parsing a
+// single-key request or reply into a warm one allocates nothing. The
+// request parser is incremental. The same parse functions double as
+// framing-only scans (no output object): TcpChannel uses them to count the
+// replies a batch draws and to find where each reply ends.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,6 +74,13 @@ namespace iq::net {
 /// and the bytes meant as its payload are re-executed as commands (protocol
 /// desync). Oversized claims draw kError / are never treated as complete.
 constexpr std::size_t kMaxPayloadBytes = 8u << 20;
+
+/// Outcome of one parse attempt, requests and responses alike.
+enum class ParseStatus {
+  kOk,        // one complete message taken; *consumed is its length
+  kNeedMore,  // the bytes end inside a message
+  kError,     // malformed: a request draws CLIENT_ERROR, a reply desyncs
+};
 
 enum class Command {
   kGet,
@@ -108,7 +124,9 @@ const char* ToString(Command c);
 struct Request {
   Command command;
   std::string key;
-  std::vector<std::string> keys;  // multi-key get/gets; key == keys[0] then
+  /// Multi-key get/gets only: every key in order (keys[0] == key). A
+  /// single-key get leaves it empty and carries just `key`.
+  std::vector<std::string> keys;
   std::string data;            // payload of storage commands
   std::uint32_t flags = 0;
   std::int64_t exptime = 0;    // seconds, memcached-style
@@ -118,43 +136,77 @@ struct Request {
   std::uint64_t session = 0;   // IQ session / tid
 };
 
+/// Receive buffer: read() lands bytes straight in its spare capacity (no
+/// bounce buffer), parsers read them in place, and consumed bytes leave
+/// from the front. The storage is uninitialized on growth, so reserving a
+/// large read window costs nothing until the kernel fills it.
+class RecvBuffer {
+ public:
+  /// Spare capacity a socket reader asks for before each read().
+  static constexpr std::size_t kReadChunk = 16 * 1024;
+
+  /// Bytes received and not yet consumed.
+  std::string_view Unread() const {
+    return std::string_view(data_.get() + begin_, end_ - begin_);
+  }
+  std::size_t size() const { return end_ - begin_; }
+
+  /// At least `min_bytes` of writable space after the unread bytes; write
+  /// into it, then Commit() the count actually written.
+  std::span<char> WritableTail(std::size_t min_bytes);
+  void Commit(std::size_t n) { end_ += n; }
+
+  void Append(std::string_view bytes);
+  void Consume(std::size_t n);
+
+ private:
+  std::unique_ptr<char[]> data_;
+  std::size_t capacity_ = 0;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+};
+
 /// Incremental request parser. Tolerates requests split across arbitrary
 /// Feed() boundaries (as TCP would deliver them).
 class RequestParser {
  public:
+  using Status = ParseStatus;
+
   /// Append raw bytes to the internal buffer.
-  void Feed(std::string_view bytes) { buffer_.append(bytes); }
+  void Feed(std::string_view bytes) { buffer_.Append(bytes); }
 
-  /// Result of attempting to take one request.
-  enum class Status {
-    kOk,         // *out filled
-    kNeedMore,   // incomplete request buffered
-    kError,      // malformed input; message in *error
-  };
+  /// Receive straight into the parser: read() into WritableTail(), then
+  /// Commit() the bytes read.
+  std::span<char> WritableTail(std::size_t min_bytes) {
+    return buffer_.WritableTail(min_bytes);
+  }
+  void Commit(std::size_t n) { buffer_.Commit(n); }
 
+  /// Take one request into *out, reusing its string capacity. Fields the
+  /// command does not carry are reset. On kError the bad line (or data
+  /// block) is skipped and *error says why; *out is then unspecified.
   Status Next(Request* out, std::string* error);
 
   /// Bytes buffered but not yet consumed by Next().
-  std::size_t buffered() const { return buffer_.size() - pos_; }
+  std::size_t buffered() const { return buffer_.size(); }
 
  private:
-  /// Advance the read cursor to absolute offset `end`. The consumed prefix
-  /// is only memmoved out (compacted) once it exceeds half the buffer, so
-  /// a stream of small pipelined requests costs O(bytes) total instead of
-  /// O(bytes * requests) front-erase churn.
-  void ConsumeTo(std::size_t end);
-
-  std::string buffer_;
-  std::size_t pos_ = 0;  // start of unconsumed bytes within buffer_
+  RecvBuffer buffer_;
+  /// buffered() below which Next() cannot complete: a request whose data
+  /// block is still arriving is not re-scanned on every partial read.
+  std::size_t need_ = 0;
 };
 
-/// Serialize a request to protocol bytes (client side).
-std::string Serialize(const Request& request);
-
 /// Append the wire form of `request` to *out without intermediate strings —
-/// the zero-copy-ish path used by pipelined clients to batch many requests
-/// into one reused buffer. Serialize() is a thin wrapper over this.
+/// the path used by pipelined clients to batch many requests into one
+/// reused buffer.
 void AppendTo(const Request& request, std::string* out);
+
+/// How many replies a server sends for the complete requests at the front
+/// of `bytes`: one per request, one CLIENT_ERROR per malformed line or
+/// oversized payload claim, none for `quit` or anything after it (the
+/// server closes). A framing-only scan: it builds no Request.
+std::size_t ExpectedReplies(std::string_view bytes);
 
 // ---- responses ----------------------------------------------------------------
 
@@ -190,7 +242,7 @@ enum class ResponseType {
                     // so sessions can tell outage from conflict.
 };
 
-/// One VALUE block of a (possibly multi-key) get/gets response.
+/// One VALUE block of a multi-hit get/gets response.
 struct ValueEntry {
   std::string key;
   std::string data;
@@ -212,24 +264,23 @@ struct Response {
   std::uint64_t ttl_ns = 0;
   std::uint64_t number = 0;    // incr/decr result, token, or session id
   std::string message;         // error text / stats payload
-  /// kValue responses with multiple hits (multi-key get) carry one entry
-  /// per hit here; when non-empty it takes precedence over the single-value
-  /// fields above for serialization, and ParseResponse mirrors entry 0 into
-  /// them so single-key callers keep working unchanged.
+  /// kValue with more than one hit (multi-key get): every hit, in order.
+  /// When non-empty it takes precedence over the single-value fields for
+  /// serialization. ParseResponse fills it only for multi-hit replies, and
+  /// then mirrors hit 0 into the single-value fields; a one-hit reply
+  /// leaves it empty and fills the single-value fields alone.
   std::vector<ValueEntry> values;
 };
-
-/// Serialize a response to protocol bytes (server side).
-std::string Serialize(const Response& response);
 
 /// Append the wire form of `response` to *out without intermediate strings
 /// (server hot path: one reused output buffer per connection).
 void AppendTo(const Response& response, std::string* out);
 
-/// Parse exactly one response from `bytes` (client side). Returns nullopt
-/// when the buffer does not yet hold a complete response; on success,
-/// *consumed is set to the bytes used.
-std::optional<Response> ParseResponse(std::string_view bytes,
-                                      std::size_t* consumed);
+/// Parse the one response at the front of `bytes` into *out (client side),
+/// reusing its string capacity; on kOk *consumed is the response's length.
+/// `out == nullptr` is a framing-only scan: the same checks, nothing built.
+/// On kNeedMore / kError *out is unspecified.
+ParseStatus ParseResponse(std::string_view bytes, Response* out,
+                          std::size_t* consumed);
 
 }  // namespace iq::net

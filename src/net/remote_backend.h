@@ -27,21 +27,18 @@ class RemoteBackend final : public KvsBackend {
 
   SessionId GenID() override { return client_.GenID(); }
   GetReply IQget(std::string_view key, SessionId session = 0) override {
-    return client_.IQget(std::string(key), session);
+    return client_.IQget(key, session);
   }
   StoreResult IQset(std::string_view key, std::string_view value,
                     LeaseToken token) override {
-    return client_.IQset(std::string(key), std::string(value), token);
+    return client_.IQset(key, value, token);
   }
   QaReadReply QaRead(std::string_view key, SessionId session) override {
-    return client_.QaRead(std::string(key), session);
+    return client_.QaRead(key, session);
   }
   StoreResult SaR(std::string_view key, std::optional<std::string_view> v_new,
                   LeaseToken token) override {
-    return client_.SaR(std::string(key),
-                       v_new ? std::optional<std::string>(std::string(*v_new))
-                             : std::nullopt,
-                       token);
+    return client_.SaR(key, v_new, token);
   }
   QuarantineResult QaReg(SessionId tid, std::string_view key) override {
     // The server always grants QaReg, but only an acknowledged GRANTED may
@@ -49,50 +46,50 @@ class RemoteBackend final : public KvsBackend {
     // session on a dead channel believe its keys were quarantined and
     // commit its RDBMS txn with no invalidation in place — the permanent
     // staleness the whole lease protocol exists to prevent.
-    return client_.QaReg(tid, std::string(key));
+    return client_.QaReg(tid, key);
   }
   void DaR(SessionId tid) override { client_.DaR(tid); }
   QuarantineResult IQDelta(SessionId tid, std::string_view key,
                            DeltaOp delta) override {
-    return client_.IQDelta(tid, std::string(key), std::move(delta));
+    return client_.IQDelta(tid, key, std::move(delta));
   }
   void Commit(SessionId tid) override { client_.Commit(tid); }
   void Abort(SessionId tid) override { client_.Abort(tid); }
   void ReleaseKey(SessionId tid, std::string_view key) override {
     // `release <tid> <key>` drops just this lease; the session's buffered
     // deltas/quarantines on other keys survive, matching IQServer::ReleaseKey.
-    client_.Release(tid, std::string(key));
+    client_.Release(tid, key);
   }
 
   std::optional<CacheItem> Get(std::string_view key) override {
-    return client_.Gets(std::string(key));  // gets: cas unique included
+    return client_.Gets(key);  // gets: cas unique included
   }
   StoreResult Set(std::string_view key, std::string_view value) override {
-    return client_.Set(std::string(key), std::string(value));
+    return client_.Set(key, value);
   }
   StoreResult Add(std::string_view key, std::string_view value) override {
-    return client_.Add(std::string(key), std::string(value));
+    return client_.Add(key, value);
   }
   StoreResult Cas(std::string_view key, std::string_view value,
                   std::uint64_t cas) override {
-    return client_.Cas(std::string(key), std::string(value), cas);
+    return client_.Cas(key, value, cas);
   }
   StoreResult Append(std::string_view key, std::string_view blob) override {
-    return client_.Append(std::string(key), std::string(blob));
+    return client_.Append(key, blob);
   }
   StoreResult Prepend(std::string_view key, std::string_view blob) override {
-    return client_.Prepend(std::string(key), std::string(blob));
+    return client_.Prepend(key, blob);
   }
   std::optional<std::uint64_t> Incr(std::string_view key,
                                     std::uint64_t amount) override {
-    return client_.Incr(std::string(key), amount);
+    return client_.Incr(key, amount);
   }
   std::optional<std::uint64_t> Decr(std::string_view key,
                                     std::uint64_t amount) override {
-    return client_.Decr(std::string(key), amount);
+    return client_.Decr(key, amount);
   }
   bool DeleteVoid(std::string_view key) override {
-    return client_.Delete(std::string(key));  // wire delete voids I leases
+    return client_.Delete(key);  // wire delete voids I leases
   }
 
  private:

@@ -120,30 +120,30 @@ Response CommandDispatcher::DispatchCommand(const Request& request) {
     case Command::kGet:
     case Command::kGets: {
       Response resp;
-      // Multi-key get: one VALUE block per hit, misses silently omitted
-      // (memcached semantics). Requests built in-process may carry only
-      // `key`; the wire parser always fills `keys`.
-      auto lookup = [&](const std::string& k) {
-        auto item = server_.store().Get(k);
-        if (!item) return;
-        ValueEntry entry;
-        entry.key = k;
-        entry.data = std::move(item->value);
-        entry.flags = item->flags;
-        entry.cas_unique = item->cas;
-        resp.values.push_back(std::move(entry));
-      };
-      if (request.keys.empty()) {
-        lookup(request.key);
-      } else {
-        for (const std::string& k : request.keys) lookup(k);
-      }
-      if (resp.values.empty()) {
-        resp.type = ResponseType::kEnd;
-        return resp;
-      }
       resp.type = ResponseType::kValue;
       resp.with_cas = request.command == Command::kGets;
+      if (request.keys.empty()) {
+        // Single-key get: the hit rides in the single-value fields.
+        auto item = server_.store().Get(request.key);
+        if (!item) {
+          resp.type = ResponseType::kEnd;
+          return resp;
+        }
+        resp.key = request.key;
+        resp.data = std::move(item->value);
+        resp.flags = item->flags;
+        resp.cas_unique = item->cas;
+        return resp;
+      }
+      // Multi-key get: one VALUE block per hit, misses silently omitted
+      // (memcached semantics).
+      for (const std::string& k : request.keys) {
+        auto item = server_.store().Get(k);
+        if (!item) continue;
+        resp.values.push_back(
+            ValueEntry{k, std::move(item->value), item->flags, item->cas, 0});
+      }
+      if (resp.values.empty()) resp.type = ResponseType::kEnd;
       return resp;
     }
     case Command::kSet:

@@ -167,18 +167,17 @@ bool TcpChannel::WriteAll(const char* data, std::size_t size,
     break;
   }
   if (sent == size) return true;
-  ::close(fd_);
-  fd_ = -1;
+  Close();
   return false;
 }
 
 bool TcpChannel::FillReadBuffer(TimePoint deadline) {
-  char buf[64 * 1024];
   int spins = SpinWorthwhile() ? kReadSpins : 0;
   while (true) {
-    ssize_t r = ::read(fd_, buf, sizeof(buf));
+    std::span<char> tail = rbuf_.WritableTail(RecvBuffer::kReadChunk);
+    ssize_t r = ::read(fd_, tail.data(), tail.size());
     if (r > 0) {
-      rbuf_.append(buf, static_cast<std::size_t>(r));
+      rbuf_.Commit(static_cast<std::size_t>(r));
       return true;
     }
     if (r == 0) break;  // EOF
@@ -197,20 +196,13 @@ bool TcpChannel::FillReadBuffer(TimePoint deadline) {
     }
     break;
   }
-  ::close(fd_);
-  fd_ = -1;
+  Close();
   return false;
 }
 
-void TcpChannel::MarkConsumed(std::size_t n) {
-  rpos_ += n;
-  if (rpos_ == rbuf_.size()) {
-    rbuf_.clear();
-    rpos_ = 0;
-  } else if (rpos_ > rbuf_.size() / 2) {
-    rbuf_.erase(0, rpos_);
-    rpos_ = 0;
-  }
+void TcpChannel::Close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
 }
 
 bool TcpChannel::RoundTrip(const std::string& request_bytes,
@@ -220,44 +212,30 @@ bool TcpChannel::RoundTrip(const std::string& request_bytes,
   if (fd_ < 0) return false;
   TimePoint deadline = IoDeadline();
   // The caller may pipeline several requests into one RoundTrip (the
-  // LoopbackChannel contract), so count how many responses to await.
-  std::size_t expected = 0;
-  {
-    RequestParser counter;
-    counter.Feed(request_bytes);
-    Request request;
-    std::string error;
-    while (true) {
-      auto status = counter.Next(&request, &error);
-      if (status == RequestParser::Status::kNeedMore) break;
-      if (status == RequestParser::Status::kOk &&
-          request.command == Command::kQuit) {
-        continue;  // server closes without replying
-      }
-      ++expected;  // kError also draws one CLIENT_ERROR response
-    }
-  }
+  // LoopbackChannel contract), so count how many replies to await.
+  std::size_t expected = ExpectedReplies(request_bytes);
   if (!WriteAll(request_bytes.data(), request_bytes.size(), deadline)) {
     return false;
   }
+  // Frame the replies in place; the caller parses them once, from *reply.
+  std::size_t framed = 0;  // bytes of complete replies at rbuf_'s front
   for (std::size_t i = 0; i < expected;) {
-    std::size_t consumed = 0;
-    if (auto response = ParseResponse(Unread(), &consumed)) {
-      (void)response;
-      reply->append(Unread().substr(0, consumed));
-      MarkConsumed(consumed);
+    std::size_t size = 0;
+    ParseStatus status =
+        ParseResponse(rbuf_.Unread().substr(framed), nullptr, &size);
+    if (status == ParseStatus::kOk) {
+      framed += size;
       ++i;
       continue;
     }
-    // A parse stall with buffered garbage that can never complete would
-    // loop on FillReadBuffer until the deadline; the deadline is the cap.
-    if (Expired(deadline)) {
-      ::close(fd_);
-      fd_ = -1;
+    if (status == ParseStatus::kError || Expired(deadline)) {
+      Close();
       return false;
     }
     if (!FillReadBuffer(deadline)) return false;
   }
+  reply->assign(rbuf_.Unread().substr(0, framed));
+  rbuf_.Consume(framed);
   return true;
 }
 
@@ -282,21 +260,23 @@ std::vector<Response> TcpChannel::Drain() {
   std::vector<Response> responses;
   responses.reserve(outstanding_);
   while (outstanding_ > 0) {
+    // Parse straight into the result slot; a partial reply is re-parsed
+    // from its start once more bytes arrive.
+    Response& resp = responses.emplace_back();
     std::size_t consumed = 0;
-    if (auto response = ParseResponse(Unread(), &consumed)) {
-      MarkConsumed(consumed);
-      responses.push_back(std::move(*response));
-      --outstanding_;
-      continue;
+    ParseStatus status = ParseResponse(rbuf_.Unread(), &resp, &consumed);
+    while (status == ParseStatus::kNeedMore && fd_ >= 0 &&
+           !Expired(deadline) && FillReadBuffer(deadline)) {
+      status = ParseResponse(rbuf_.Unread(), &resp, &consumed);
     }
-    if (fd_ < 0 || Expired(deadline) || !FillReadBuffer(deadline)) {
-      if (fd_ >= 0 && Expired(deadline)) {
-        ::close(fd_);
-        fd_ = -1;
-      }
+    if (status != ParseStatus::kOk) {
+      responses.pop_back();
+      Close();  // desynced, expired or already gone
       outstanding_ = 0;  // transport gone; report what we have
       break;
     }
+    rbuf_.Consume(consumed);
+    --outstanding_;
   }
   return responses;
 }

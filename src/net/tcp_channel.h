@@ -69,10 +69,12 @@ class TcpChannel final : public PipelinedChannel {
 
   /// One-outstanding-request mode: writes `request_bytes`, blocks (at most
   /// io_timeout_ms) until the matching response(s) arrive in *reply, raw.
-  /// The bytes may carry several pipelined requests; one response is awaited
-  /// per parsed request (quit expects none and closes the connection
-  /// server-side). False on transport failure or deadline expiry — the
-  /// connection is then closed (the stream can no longer be trusted).
+  /// The bytes may carry several pipelined requests; ExpectedReplies()
+  /// says how many replies to await (quit draws none and closes the
+  /// connection server-side), and a framing-only scan finds where each ends
+  /// without building it. False on transport failure, deadline expiry or a
+  /// malformed reply — the connection is then closed (the stream can no
+  /// longer be trusted).
   bool RoundTrip(const std::string& request_bytes,
                  std::string* reply) override;
 
@@ -89,22 +91,18 @@ class TcpChannel final : public PipelinedChannel {
   TcpChannel(int fd, const Options& options) : fd_(fd), options_(options) {}
 
   bool WriteAll(const char* data, std::size_t size, TimePoint deadline);
-  /// One read() appended to rbuf_ (spin-then-poll up to `deadline`). False
-  /// on EOF, error, or deadline expiry.
+  /// One read() straight into rbuf_'s spare capacity (spin-then-poll up to
+  /// `deadline`). False on EOF, error, or deadline expiry.
   bool FillReadBuffer(TimePoint deadline);
-  /// Bytes of rbuf_ not yet consumed by a parsed response.
-  std::string_view Unread() const {
-    return std::string_view(rbuf_).substr(rpos_);
-  }
-  void MarkConsumed(std::size_t n);
+  /// Close the socket: the stream can no longer be trusted.
+  void Close();
   TimePoint IoDeadline() const;
 
   int fd_ = -1;
   Options options_;
   std::string wbuf_;        // queued requests awaiting Flush
   std::size_t outstanding_ = 0;
-  std::string rbuf_;        // received bytes awaiting parse
-  std::size_t rpos_ = 0;
+  RecvBuffer rbuf_;         // received bytes awaiting parse
   std::mutex mu_;  // one in-flight operation per channel, like Loopback
 };
 

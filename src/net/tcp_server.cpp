@@ -37,6 +37,13 @@ struct TcpServer::Connection {
   int fd;
   std::uint64_t id;  // process-unique; cross-core completions address this
   RequestParser parser;
+  Request request;  // reused: the parser fills it in place
+  /// Affinity mode: `request` is parsed but waits for earlier forwarded
+  /// requests to finish (see DrainRequests).
+  bool request_parked = false;
+  /// Affinity mode: the forwarded request in flight spans owners (a
+  /// kControl or kSession route), so nothing after it may start yet.
+  bool wide_inflight = false;
   std::string out;
   std::size_t out_pos = 0;
   bool want_write = false;  // EPOLLOUT currently registered
@@ -424,14 +431,15 @@ void TcpServer::HandleEvent(Worker& worker, Connection& conn,
   }
   bool peer_closed = false;
   if ((events & EPOLLIN) != 0) {
-    char buf[64 * 1024];
     while (true) {
-      ssize_t r = ::read(conn.fd, buf, sizeof(buf));
+      // Straight into the parser's buffer: no bounce copy.
+      std::span<char> tail = conn.parser.WritableTail(RecvBuffer::kReadChunk);
+      ssize_t r = ::read(conn.fd, tail.data(), tail.size());
       if (r > 0) {
         worker.bytes_read.fetch_add(static_cast<std::uint64_t>(r),
                                     std::memory_order_relaxed);
-        conn.parser.Feed(std::string_view(buf, static_cast<std::size_t>(r)));
-        if (static_cast<std::size_t>(r) < sizeof(buf)) break;
+        conn.parser.Commit(static_cast<std::size_t>(r));
+        if (static_cast<std::size_t>(r) < tail.size()) break;
         continue;
       }
       if (r == 0) {
@@ -591,30 +599,57 @@ void TcpServer::DrainRequests(Worker& worker, Connection& conn) {
     ++conn.next_slot_seq;
   };
 
-  Request request;
+  Request& request = conn.request;
   std::string error;
   while (!conn.closing) {
     if (conn.out_backlog() > config_.max_response_bytes) return;
     if (conn.slots_inflight >= config_.max_inflight_per_conn) return;
-    auto status = conn.parser.Next(&request, &error);
-    if (status == RequestParser::Status::kNeedMore) break;
-    if (status == RequestParser::Status::kError) {
-      Response err;
-      err.type = ResponseType::kError;
-      err.message = error;
-      emit(err);
-      continue;  // parser resynced past the bad line; keep the connection
+    if (!conn.request_parked) {
+      auto status = conn.parser.Next(&request, &error);
+      if (status == RequestParser::Status::kNeedMore) break;
+      if (status == RequestParser::Status::kError) {
+        Response err;
+        err.type = ResponseType::kError;
+        err.message = error;
+        emit(err);
+        continue;  // parser resynced past the bad line; keep the connection
+      }
+      worker.requests.fetch_add(1, std::memory_order_relaxed);
+      if (request.command == Command::kQuit) {
+        // memcached closes without a reply; flush what's pending first.
+        conn.closing = true;
+        break;
+      }
     }
-    worker.requests.fetch_add(1, std::memory_order_relaxed);
-    if (request.command == Command::kQuit) {
-      // memcached closes without a reply; flush what's pending first.
-      conn.closing = true;
-      break;
-    }
+    conn.request_parked = false;
     if (config_.affinity) {
+      // Pipelined requests must execute in order wherever they share
+      // state. Single-key requests on different owners touch disjoint keys
+      // and may run concurrently; a request spanning owners (multi-key get,
+      // control verbs, session commit/abort/dar) waits until everything
+      // forwarded before it completed, and everything after it waits for
+      // it. Otherwise `set a` forwarded to a's owner could run after a
+      // later `get a b` forwarded to partition 0.
+      if (conn.slots_inflight == 0) conn.wide_inflight = false;
+      RouteKind route = RouteOf(request);
+      bool wide = route == RouteKind::kControl || route == RouteKind::kSession;
+      if (conn.wide_inflight || (wide && conn.slots_inflight > 0)) {
+        conn.request_parked = true;  // a completion re-pumps the connection
+        return;
+      }
       std::size_t target = TargetWorker(worker, request);
       if (target != worker.index) {
-        if (TryForward(worker, conn, target, std::move(request))) continue;
+        if (TryForward(worker, conn, target, std::move(request))) {
+          conn.wide_inflight = wide;
+          continue;
+        }
+        if (conn.slots_inflight > 0) {
+          // Inline now could overtake an earlier request on the same key
+          // still queued at the owner; wait for this connection's
+          // completions instead.
+          conn.request_parked = true;
+          return;
+        }
         // Owner's mailbox is full: execute inline anyway. Correct — the
         // shard mutexes still serialize per key — just not core-local.
         worker.affinity_fallbacks.fetch_add(1, std::memory_order_relaxed);

@@ -117,13 +117,88 @@ TEST_P(FuzzSeedTest, DispatcherSurvivesGarbageRoundTrips) {
   EXPECT_EQ(client.Get("sane")->value, "value");
 }
 
+/// The framing-only scan must agree with the full parse on any input: same
+/// status, and on success the same length.
+void ExpectFramingMatchesParse(std::string_view bytes) {
+  Response resp;
+  std::size_t parsed = 0;
+  std::size_t framed = 0;
+  ParseStatus full = ParseResponse(bytes, &resp, &parsed);
+  ParseStatus frame = ParseResponse(bytes, nullptr, &framed);
+  ASSERT_EQ(full, frame) << bytes;
+  if (full == ParseStatus::kOk) {
+    EXPECT_EQ(parsed, framed) << bytes;
+    EXPECT_LE(parsed, bytes.size());
+  }
+}
+
 TEST_P(FuzzSeedTest, ResponseParserSurvivesRandomBytes) {
   Rng rng(GetParam() + 3000);
   for (int round = 0; round < 2000; ++round) {
-    std::string bytes = RandomBytes(rng, 64);
+    ExpectFramingMatchesParse(RandomBytes(rng, 64));
+  }
+}
+
+TEST_P(FuzzSeedTest, ResponseParserSurvivesMutatedReplies) {
+  Rng rng(GetParam() + 4000);
+  const std::string templates[] = {
+      "VALUE key 0 5\r\nhello\r\nEND\r\n",
+      "VALUE a 1 1 7 T99\r\nx\r\nVALUE b 2 2\r\nyz\r\nEND\r\n",
+      "QVALUE 9 3\r\nabc\r\n",
+      "METRICS 4\r\n# x\n\r\n",
+      "STAT a 1\r\nSTAT b 2\r\nEND\r\n",
+      "TRACE_INFO 1 0 8\r\nTRACE 1 2 0 release 3 4\r\nEND\r\n",
+      "MISS_TOKEN 42\r\n",
+      "STORED\r\n",
+      "12345\r\n",
+      "CLIENT_ERROR\r\n",
+      "CLIENT_ERROR bad argument count\r\n",
+      "SERVER_ERROR\r\n",
+      "SERVER_ERROR out of memory\r\n",
+  };
+  for (int round = 0; round < 2000; ++round) {
+    ExpectFramingMatchesParse(
+        Mutate(rng, templates[rng.NextUint64(std::size(templates))]));
+  }
+  // Unmutated, every template is one whole reply.
+  for (const std::string& t : templates) {
     std::size_t consumed = 0;
-    auto resp = ParseResponse(bytes, &consumed);
-    if (resp) EXPECT_LE(consumed, bytes.size());
+    EXPECT_EQ(ParseResponse(t, nullptr, &consumed), ParseStatus::kOk) << t;
+    EXPECT_EQ(consumed, t.size()) << t;
+  }
+}
+
+TEST_P(FuzzSeedTest, ExpectedRepliesMatchesTheParser) {
+  // The client's framing-only request count must follow the server's
+  // parser exactly: one reply per request or error, none from quit on.
+  Rng rng(GetParam() + 5000);
+  const std::string templates[] = {
+      "set key 0 0 5\r\nhello\r\n", "get a b c\r\n",
+      "iqget key 7\r\n",             "sar key 9 4\r\ndata\r\n",
+      "set k 0 0 99999999999\r\n",    "frobnicate\r\n",
+      "quit\r\n",
+  };
+  for (int round = 0; round < 500; ++round) {
+    std::string bytes;
+    for (int i = 0; i < 4; ++i) {
+      std::string t = templates[rng.NextUint64(std::size(templates))];
+      bytes += rng.NextUint64(3) == 0 ? Mutate(rng, t) : t;
+    }
+    RequestParser parser;
+    parser.Feed(bytes);
+    Request req;
+    std::string error;
+    std::size_t replies = 0;
+    while (true) {
+      auto status = parser.Next(&req, &error);
+      if (status == RequestParser::Status::kNeedMore) break;
+      if (status == RequestParser::Status::kOk &&
+          req.command == Command::kQuit) {
+        break;
+      }
+      ++replies;
+    }
+    EXPECT_EQ(ExpectedReplies(bytes), replies) << bytes;
   }
 }
 

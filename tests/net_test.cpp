@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 
 #include "net/channel.h"
@@ -12,6 +13,23 @@
 
 namespace iq::net {
 namespace {
+
+/// The wire bytes of one request or response.
+template <typename Message>
+std::string Serialize(const Message& message) {
+  std::string out;
+  AppendTo(message, &out);
+  return out;
+}
+
+/// Parse one response; nullopt unless it is complete and well formed.
+std::optional<Response> Parse(std::string_view bytes, std::size_t* consumed) {
+  Response r;
+  if (ParseResponse(bytes, &r, consumed) != ParseStatus::kOk) {
+    return std::nullopt;
+  }
+  return r;
+}
 
 // ---- request parser ---------------------------------------------------------
 
@@ -154,6 +172,138 @@ TEST(RequestParser, ReportsBadChunkTerminator) {
   EXPECT_EQ(p.Next(&r, &err), RequestParser::Status::kError);
 }
 
+/// `original` as a parser must hand it back: the fields its command carries
+/// on the wire, every other field at its default.
+Request Carried(const Request& original) {
+  Request r;
+  r.command = original.command;
+  switch (original.command) {
+    case Command::kGet:
+    case Command::kGets:
+      r.key = original.key;
+      r.keys = original.keys;
+      break;
+    case Command::kDelete:
+      r.key = original.key;
+      break;
+    case Command::kCas:
+      r.cas_unique = original.cas_unique;
+      [[fallthrough]];
+    case Command::kSet:
+    case Command::kAdd:
+    case Command::kReplace:
+    case Command::kAppend:
+    case Command::kPrepend:
+      r.key = original.key;
+      r.data = original.data;
+      r.flags = original.flags;
+      r.exptime = original.exptime;
+      break;
+    case Command::kIncr:
+    case Command::kDecr:
+      r.key = original.key;
+      r.amount = original.amount;
+      break;
+    case Command::kFlushAll:
+    case Command::kStats:
+    case Command::kQuit:
+    case Command::kGenId:
+    case Command::kSweep:
+    case Command::kMetrics:
+      break;
+    case Command::kTrace:
+      r.amount = original.amount;
+      break;
+    case Command::kIQGet:
+    case Command::kQaRead:
+      r.key = original.key;
+      r.session = original.session;
+      break;
+    case Command::kIQSet:
+    case Command::kSaR:
+      r.data = original.data;
+      [[fallthrough]];
+    case Command::kSaRNull:
+      r.key = original.key;
+      r.token = original.token;
+      break;
+    case Command::kIQAppend:
+    case Command::kIQPrepend:
+      r.data = original.data;
+      [[fallthrough]];
+    case Command::kQaReg:
+    case Command::kRelease:
+      r.key = original.key;
+      [[fallthrough]];
+    case Command::kDaR:
+    case Command::kCommit:
+    case Command::kAbort:
+      r.session = original.session;
+      break;
+    case Command::kIQIncr:
+    case Command::kIQDecr:
+      r.key = original.key;
+      r.session = original.session;
+      r.amount = original.amount;
+      break;
+  }
+  return r;
+}
+
+void ExpectSameRequest(const Request& got, const Request& want) {
+  EXPECT_EQ(got.command, want.command);
+  EXPECT_EQ(got.key, want.key);
+  EXPECT_EQ(got.keys, want.keys);
+  EXPECT_EQ(got.data, want.data);
+  EXPECT_EQ(got.flags, want.flags);
+  EXPECT_EQ(got.exptime, want.exptime);
+  EXPECT_EQ(got.cas_unique, want.cas_unique);
+  EXPECT_EQ(got.amount, want.amount);
+  EXPECT_EQ(got.token, want.token);
+  EXPECT_EQ(got.session, want.session);
+}
+
+/// A Request full of stale values, to prove an in-place parse resets every
+/// field its command does not carry.
+Request DirtyRequest() {
+  Request r;
+  r.command = Command::kCas;
+  r.key = "stale key that is longer than the small-string buffer";
+  r.keys = {"stale", "keys"};
+  r.data = "stale data";
+  r.flags = 99;
+  r.exptime = -7;
+  r.cas_unique = 98;
+  r.amount = 97;
+  r.token = 96;
+  r.session = 95;
+  return r;
+}
+
+/// Serialize, then parse back with the bytes split at every offset into
+/// one reused Request: every field must come back unchanged.
+void ExpectRequestRoundTrips(const Request& original) {
+  std::string bytes = Serialize(original);
+  Request want = Carried(original);
+  Request parsed = DirtyRequest();
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    SCOPED_TRACE("split at byte " + std::to_string(split));
+    RequestParser p;
+    std::string err;
+    p.Feed(std::string_view(bytes).substr(0, split));
+    if (split < bytes.size()) {
+      ASSERT_EQ(p.Next(&parsed, &err), RequestParser::Status::kNeedMore);
+    }
+    p.Feed(std::string_view(bytes).substr(split));
+    ASSERT_EQ(p.Next(&parsed, &err), RequestParser::Status::kOk) << err;
+    EXPECT_EQ(p.buffered(), 0u);
+    ExpectSameRequest(parsed, want);
+    EXPECT_EQ(Serialize(parsed), bytes);
+  }
+  // The client's framing-only count agrees: quit is the one silent verb.
+  EXPECT_EQ(ExpectedReplies(bytes), original.command == Command::kQuit ? 0u : 1u);
+}
+
 // Round-trip property: Serialize(request) parses back to an identical
 // request, for every command kind.
 class RoundTripTest : public ::testing::TestWithParam<Command> {};
@@ -162,49 +312,27 @@ TEST_P(RoundTripTest, SerializeThenParseIsIdentity) {
   Request original;
   original.command = GetParam();
   original.key = "some_key";
-  original.data = "payload bytes";
+  original.data = "payload\r\nbytes";
   original.flags = 3;
   original.exptime = 120;
   original.cas_unique = 77;
   original.amount = 5;
   original.token = 91;
   original.session = 1234;
+  ExpectRequestRoundTrips(original);
+}
 
-  RequestParser p;
-  p.Feed(Serialize(original));
-  Request parsed;
-  std::string err;
-  ASSERT_EQ(p.Next(&parsed, &err), RequestParser::Status::kOk) << err;
-  EXPECT_EQ(parsed.command, original.command);
-  // Only compare the fields the command actually carries.
-  switch (original.command) {
-    case Command::kSet:
-    case Command::kAdd:
-    case Command::kReplace:
-    case Command::kAppend:
-    case Command::kPrepend:
-      EXPECT_EQ(parsed.data, original.data);
-      EXPECT_EQ(parsed.flags, original.flags);
-      EXPECT_EQ(parsed.exptime, original.exptime);
-      break;
-    case Command::kCas:
-      EXPECT_EQ(parsed.cas_unique, original.cas_unique);
-      EXPECT_EQ(parsed.data, original.data);
-      break;
-    case Command::kIncr:
-    case Command::kDecr:
-    case Command::kIQIncr:
-    case Command::kIQDecr:
-    case Command::kTrace:
-      EXPECT_EQ(parsed.amount, original.amount);
-      break;
-    case Command::kIQSet:
-    case Command::kSaR:
-      EXPECT_EQ(parsed.token, original.token);
-      EXPECT_EQ(parsed.data, original.data);
-      break;
-    default:
-      break;
+TEST(RequestParser, MultiKeyGetRoundTripsWithDuplicates) {
+  for (Command c : {Command::kGet, Command::kGets}) {
+    for (std::vector<std::string> keys :
+         {std::vector<std::string>{"a", "b"},
+          std::vector<std::string>{"a", "b", "a", "c", "c"}}) {
+      Request original;
+      original.command = c;
+      original.key = keys.front();
+      original.keys = keys;
+      ExpectRequestRoundTrips(original);
+    }
   }
 }
 
@@ -240,7 +368,7 @@ TEST(ResponseCodec, ValueRoundTrip) {
   r.with_cas = true;
   r.cas_unique = 42;
   std::size_t consumed = 0;
-  auto parsed = ParseResponse(Serialize(r), &consumed);
+  auto parsed = Parse(Serialize(r), &consumed);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->type, ResponseType::kValue);
   EXPECT_EQ(parsed->data, "some data");
@@ -257,7 +385,7 @@ TEST(ResponseCodec, SimpleResponsesRoundTrip) {
     Response r;
     r.type = t;
     std::size_t consumed = 0;
-    auto parsed = ParseResponse(Serialize(r), &consumed);
+    auto parsed = Parse(Serialize(r), &consumed);
     ASSERT_TRUE(parsed) << static_cast<int>(t);
     EXPECT_EQ(parsed->type, t);
   }
@@ -270,7 +398,7 @@ TEST(ResponseCodec, NumberedResponsesCarryPayload) {
     r.type = t;
     r.number = 987654;
     std::size_t consumed = 0;
-    auto parsed = ParseResponse(Serialize(r), &consumed);
+    auto parsed = Parse(Serialize(r), &consumed);
     ASSERT_TRUE(parsed);
     EXPECT_EQ(parsed->type, t);
     EXPECT_EQ(parsed->number, 987654u);
@@ -283,7 +411,7 @@ TEST(ResponseCodec, QValueCarriesTokenAndData) {
   r.number = 55;
   r.data = "old value";
   std::size_t consumed = 0;
-  auto parsed = ParseResponse(Serialize(r), &consumed);
+  auto parsed = Parse(Serialize(r), &consumed);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->type, ResponseType::kQValue);
   EXPECT_EQ(parsed->number, 55u);
@@ -301,7 +429,7 @@ TEST(ResponseCodec, ValueCarriesValidityTtl) {
   // The duration rides as a trailing T-prefixed token: non-numeric, so a
   // parser unaware of validity grants skips it as it would any extension.
   EXPECT_NE(bytes.find(" T12345"), std::string::npos);
-  auto parsed = ParseResponse(bytes, &consumed);
+  auto parsed = Parse(bytes, &consumed);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->type, ResponseType::kValue);
   EXPECT_EQ(parsed->ttl_ns, 12345u);
@@ -318,7 +446,7 @@ TEST(ResponseCodec, ValueCarriesCasAndTtlTogether) {
   r.cas_unique = 42;
   r.ttl_ns = 77;
   std::size_t consumed = 0;
-  auto parsed = ParseResponse(Serialize(r), &consumed);
+  auto parsed = Parse(Serialize(r), &consumed);
   ASSERT_TRUE(parsed);
   EXPECT_TRUE(parsed->with_cas);
   EXPECT_EQ(parsed->cas_unique, 42u);
@@ -327,7 +455,7 @@ TEST(ResponseCodec, ValueCarriesCasAndTtlTogether) {
 
 TEST(ResponseCodec, ValueWithoutTtlParsesAsZero) {
   std::size_t consumed = 0;
-  auto parsed = ParseResponse("VALUE k 0 1\r\nv\r\nEND\r\n", &consumed);
+  auto parsed = Parse("VALUE k 0 1\r\nv\r\nEND\r\n", &consumed);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->ttl_ns, 0u);
 }
@@ -358,10 +486,29 @@ TEST(RemoteValidity, NoGrantWhenServerValidityDisabled) {
   EXPECT_EQ(hit.validity, 0);
 }
 
-TEST(ResponseCodec, IncompleteBytesReturnNullopt) {
+TEST(ResponseCodec, IncompleteBytesNeedMore) {
   std::size_t consumed = 0;
-  EXPECT_FALSE(ParseResponse("VALUE k 0 100\r\nshort", &consumed));
-  EXPECT_FALSE(ParseResponse("STO", &consumed));
+  Response r;
+  EXPECT_EQ(ParseResponse("VALUE k 0 100\r\nshort", &r, &consumed),
+            ParseStatus::kNeedMore);
+  EXPECT_EQ(ParseResponse("STO", &r, &consumed), ParseStatus::kNeedMore);
+  EXPECT_EQ(ParseResponse("", nullptr, &consumed), ParseStatus::kNeedMore);
+}
+
+TEST(ResponseCodec, MalformedRepliesAreErrorsNotStalls) {
+  // A reply that can never complete must not read as "wait for more": the
+  // client would otherwise sit on a desynced stream until its deadline.
+  std::size_t consumed = 0;
+  for (const char* bad :
+       {"BOGUS\r\n", "\r\n", "MISS_TOKEN\r\n", "MISS_TOKEN x\r\n",
+        "ID 1 2\r\n", "QVALUE 1\r\n", "12 34\r\n",
+        "VALUE k 0 3\r\nabcXY", "VALUE k 0\r\nabc\r\nEND\r\n",
+        "VALUE k 0 1\r\nx\r\nGARBAGE\r\n", "METRICS 2\r\nabXY"}) {
+    Response r;
+    EXPECT_EQ(ParseResponse(bad, &r, &consumed), ParseStatus::kError) << bad;
+    EXPECT_EQ(ParseResponse(bad, nullptr, &consumed), ParseStatus::kError)
+        << bad;
+  }
 }
 
 TEST(ResponseCodec, MetricsIsASizedBlock) {
@@ -372,14 +519,15 @@ TEST(ResponseCodec, MetricsIsASizedBlock) {
   r.data = "# TYPE iq_commits_total counter\niq_commits_total 7\nEND\nSTORED\n";
   std::size_t consumed = 0;
   std::string bytes = Serialize(r);
-  auto parsed = ParseResponse(bytes, &consumed);
+  auto parsed = Parse(bytes, &consumed);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->type, ResponseType::kMetrics);
   EXPECT_EQ(parsed->data, r.data);
   EXPECT_EQ(consumed, bytes.size());
   // Truncated payload: not yet a complete response.
-  EXPECT_FALSE(ParseResponse(std::string_view(bytes).substr(0, bytes.size() - 5),
-                             &consumed));
+  EXPECT_EQ(ParseResponse(std::string_view(bytes).substr(0, bytes.size() - 5),
+                          nullptr, &consumed),
+            ParseStatus::kNeedMore);
 }
 
 TEST(ResponseCodec, TraceLinesRoundTripLikeStats) {
@@ -390,7 +538,7 @@ TEST(ResponseCodec, TraceLinesRoundTripLikeStats) {
       "TRACE 2 200 0 release 42 7\r\n";
   std::size_t consumed = 0;
   std::string bytes = Serialize(r);
-  auto parsed = ParseResponse(bytes, &consumed);
+  auto parsed = Parse(bytes, &consumed);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->type, ResponseType::kTrace);
   EXPECT_EQ(parsed->message, r.message);
@@ -405,9 +553,177 @@ TEST(ResponseCodec, EmptyTraceSerializesAsBareEnd) {
   EXPECT_EQ(bytes, "END\r\n");
   // Indistinguishable from a get miss on the wire — clients treat kEnd as
   // "no trace events", which is exactly what it means.
-  auto parsed = ParseResponse(bytes, &consumed);
+  auto parsed = Parse(bytes, &consumed);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->type, ResponseType::kEnd);
+}
+
+void ExpectSameResponse(const Response& got, const Response& want) {
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.key, want.key);
+  EXPECT_EQ(got.data, want.data);
+  EXPECT_EQ(got.flags, want.flags);
+  EXPECT_EQ(got.cas_unique, want.cas_unique);
+  EXPECT_EQ(got.with_cas, want.with_cas);
+  EXPECT_EQ(got.ttl_ns, want.ttl_ns);
+  EXPECT_EQ(got.number, want.number);
+  EXPECT_EQ(got.message, want.message);
+  ASSERT_EQ(got.values.size(), want.values.size());
+  for (std::size_t i = 0; i < got.values.size(); ++i) {
+    EXPECT_EQ(got.values[i].key, want.values[i].key);
+    EXPECT_EQ(got.values[i].data, want.values[i].data);
+    EXPECT_EQ(got.values[i].flags, want.values[i].flags);
+    EXPECT_EQ(got.values[i].cas_unique, want.values[i].cas_unique);
+    EXPECT_EQ(got.values[i].ttl_ns, want.values[i].ttl_ns);
+  }
+}
+
+/// One canonical response per ResponseType (two shapes each for kValue and
+/// kError): every field set is one the wire carries.
+std::vector<Response> EveryResponseType() {
+  std::vector<Response> out;
+  auto add = [&out](ResponseType t) -> Response& {
+    out.emplace_back();
+    out.back().type = t;
+    return out.back();
+  };
+  for (ResponseType t :
+       {ResponseType::kEnd, ResponseType::kStored, ResponseType::kNotStored,
+        ResponseType::kExists, ResponseType::kNotFound,
+        ResponseType::kDeleted, ResponseType::kOk, ResponseType::kMissBackoff,
+        ResponseType::kMissNoLease, ResponseType::kReject,
+        ResponseType::kGranted}) {
+    add(t);
+  }
+  for (ResponseType t : {ResponseType::kNumber, ResponseType::kMissToken,
+                         ResponseType::kQMiss, ResponseType::kId}) {
+    add(t).number = 18446744073709551615u;
+  }
+  Response& single = add(ResponseType::kValue);  // cas and T<ttl> together
+  single.key = "k";
+  single.data = "some\r\ndata";
+  single.flags = 5;
+  single.with_cas = true;
+  single.cas_unique = 42;
+  single.ttl_ns = 5000000;
+  Response& multi = add(ResponseType::kValue);
+  multi.with_cas = true;
+  multi.values = {{"a", "one", 1, 7, 0}, {"b", "", 2, 8, 9}, {"a", "one", 1, 7, 0}};
+  // A parsed multi-hit reply mirrors hit 0 into the single-value fields.
+  multi.key = "a";
+  multi.data = "one";
+  multi.flags = 1;
+  multi.cas_unique = 7;
+  add(ResponseType::kError);  // bare ERROR
+  add(ResponseType::kError).message = "bad data chunk terminator";
+  add(ResponseType::kStats).message = "STAT pid 1\r\nSTAT BACKEND 2\r\n";
+  Response& qvalue = add(ResponseType::kQValue);
+  qvalue.number = 55;
+  qvalue.data = "old value";
+  add(ResponseType::kMetrics).data = "# TYPE x counter\nx 1\nEND\n";
+  add(ResponseType::kTrace).message =
+      "TRACE_INFO 2 0 64\r\nTRACE 1 100 0 q_ref_grant 42 7\r\n";
+  add(ResponseType::kTransportError).message = "out of memory";
+  return out;
+}
+
+TEST(ResponseCodec, EveryTypeRoundTripsAtEverySplit) {
+  std::vector<Response> samples = EveryResponseType();
+  std::vector<bool> covered(
+      static_cast<std::size_t>(ResponseType::kTransportError) + 1, false);
+  // One Response reused across every parse, starting dirty.
+  Response parsed;
+  parsed.type = ResponseType::kValue;
+  parsed.key = "stale";
+  parsed.data = "stale data";
+  parsed.message = "stale";
+  parsed.flags = parsed.cas_unique = parsed.ttl_ns = parsed.number = 3;
+  parsed.with_cas = true;
+  parsed.values.push_back({"x", "y", 1, 2, 3});
+  for (const Response& want : samples) {
+    covered[static_cast<std::size_t>(want.type)] = true;
+    std::string bytes = Serialize(want);
+    SCOPED_TRACE(bytes);
+    // Trailing bytes of the next reply must not be taken.
+    std::string stream = bytes + "STORED\r\n";
+    for (std::size_t split = 0; split < bytes.size(); ++split) {
+      std::size_t consumed = 0;
+      std::string_view prefix = std::string_view(bytes).substr(0, split);
+      ASSERT_EQ(ParseResponse(prefix, &parsed, &consumed),
+                ParseStatus::kNeedMore)
+          << "split " << split;
+      ASSERT_EQ(ParseResponse(prefix, nullptr, &consumed),
+                ParseStatus::kNeedMore)
+          << "split " << split;
+    }
+    std::size_t consumed = 0;
+    std::size_t framed = 0;
+    ASSERT_EQ(ParseResponse(stream, &parsed, &consumed), ParseStatus::kOk);
+    ASSERT_EQ(ParseResponse(stream, nullptr, &framed), ParseStatus::kOk);
+    EXPECT_EQ(consumed, bytes.size());
+    EXPECT_EQ(framed, bytes.size());
+    ExpectSameResponse(parsed, want);
+    EXPECT_EQ(Serialize(parsed), bytes);
+  }
+  for (std::size_t t = 0; t < covered.size(); ++t) {
+    EXPECT_TRUE(covered[t]) << "no sample of ResponseType " << t;
+  }
+}
+
+TEST(ResponseCodec, SingleHitFillsOnlyTheSingleValueFields) {
+  std::size_t consumed = 0;
+  auto parsed = Parse("VALUE k 3 2 11 T5\r\nhi\r\nEND\r\n", &consumed);
+  ASSERT_TRUE(parsed);
+  EXPECT_TRUE(parsed->values.empty());
+  EXPECT_EQ(parsed->key, "k");
+  EXPECT_EQ(parsed->data, "hi");
+  EXPECT_EQ(parsed->flags, 3u);
+  EXPECT_EQ(parsed->cas_unique, 11u);
+  EXPECT_TRUE(parsed->with_cas);
+  EXPECT_EQ(parsed->ttl_ns, 5u);
+}
+
+/// A Channel whose every round trip returns the same canned reply bytes.
+class CannedChannel final : public Channel {
+ public:
+  explicit CannedChannel(std::string reply) : reply_(std::move(reply)) {}
+  bool RoundTrip(const std::string&, std::string* reply) override {
+    *reply = reply_;
+    return true;
+  }
+
+ private:
+  std::string reply_;
+};
+
+TEST(ResponseCodec, ErrorRepliesWithAndWithoutMessage) {
+  // A bare CLIENT_ERROR (12 bytes before the CRLF) once made the client's
+  // parser throw std::out_of_range, which nothing caught: the process died.
+  struct Case {
+    const char* bytes;
+    ResponseType type;
+    const char* message;
+  };
+  for (const Case& c :
+       {Case{"CLIENT_ERROR\r\n", ResponseType::kError, ""},
+        Case{"CLIENT_ERROR bad argument count\r\n", ResponseType::kError,
+             "bad argument count"},
+        Case{"SERVER_ERROR\r\n", ResponseType::kTransportError, ""},
+        Case{"SERVER_ERROR out of memory\r\n", ResponseType::kTransportError,
+             "out of memory"}}) {
+    SCOPED_TRACE(c.bytes);
+    std::size_t consumed = 0;
+    auto parsed = Parse(c.bytes, &consumed);
+    ASSERT_TRUE(parsed);
+    EXPECT_EQ(parsed->type, c.type);
+    EXPECT_EQ(parsed->message, c.message);
+    EXPECT_EQ(consumed, std::strlen(c.bytes));
+    // And through the client facade: a refusal, never a crash.
+    CannedChannel channel(c.bytes);
+    RemoteCacheClient client(channel);
+    EXPECT_FALSE(client.Get("k").has_value());
+    EXPECT_NE(client.Set("k", "v"), StoreResult::kStored);
+  }
 }
 
 // ---- dispatcher over a loopback channel ----------------------------------------
@@ -612,7 +928,7 @@ TEST(ResponseCodec, MultiValueRoundTrip) {
   r.values.push_back({"c", "three", 3, 0});
   std::string bytes = Serialize(r);
   std::size_t consumed = 0;
-  auto parsed = ParseResponse(bytes, &consumed);
+  auto parsed = Parse(bytes, &consumed);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(consumed, bytes.size());
   ASSERT_EQ(parsed->values.size(), 2u);
@@ -639,6 +955,40 @@ TEST(LoopbackMultiGet, MissesAreOmittedAndOrderIsPreserved) {
   ASSERT_TRUE(hits[2].has_value());
   EXPECT_EQ(hits[2]->value, "three");
   EXPECT_EQ(channel.requests(), 3u);  // 2 sets + 1 multi-get round trip
+}
+
+TEST(LoopbackMultiGet, OneTwoAndManyKeysWithDuplicates) {
+  IQServer server;
+  LoopbackChannel channel(server);
+  RemoteCacheClient client(channel);
+  client.Set("a", "one");
+  client.Set("b", "two");
+  client.Set("c", "three");
+  auto values = [](const std::vector<std::optional<CacheItem>>& hits) {
+    std::vector<std::string> out;
+    for (const auto& h : hits) out.push_back(h ? h->value : "<miss>");
+    return out;
+  };
+  using V = std::vector<std::string>;
+  EXPECT_EQ(values(client.MultiGet({"a"})), V({"one"}));
+  EXPECT_EQ(values(client.MultiGet({"missing"})), V({"<miss>"}));
+  EXPECT_EQ(values(client.MultiGet({"missing", "b"})), V({"<miss>", "two"}));
+  EXPECT_EQ(values(client.MultiGet({"a", "b"})), V({"one", "two"}));
+  EXPECT_EQ(values(client.MultiGet({"a", "a"})), V({"one", "one"}));
+  EXPECT_EQ(values(client.MultiGet({"a", "missing", "b", "a", "c", "c"})),
+            V({"one", "<miss>", "two", "one", "three", "three"}));
+  for (std::vector<std::string> keys :
+       {std::vector<std::string>{"b"},
+        std::vector<std::string>{"c", "missing", "c", "a"}}) {
+    auto hits = client.MultiGet(keys, /*with_cas=*/true);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      auto direct = client.Gets(keys[i]);
+      ASSERT_EQ(hits[i].has_value(), direct.has_value()) << keys[i];
+      if (direct) {
+        EXPECT_EQ(hits[i]->cas, direct->cas) << keys[i];
+      }
+    }
+  }
 }
 
 TEST(LoopbackMultiGet, GetsCarriesCasPerValue) {
@@ -739,12 +1089,13 @@ TEST(ResponseCodec, HugeLengthClaimsNeverCompleteNorWrap) {
   // Client side of the same hardening: VALUE/QVALUE sizes near SIZE_MAX must
   // not wrap `block_eol + 2 + size + 2` into an accepted parse.
   std::size_t consumed = 0;
-  EXPECT_FALSE(ParseResponse("VALUE k 0 18446744073709551614\r\nEND\r\n",
-                             &consumed)
-                   .has_value());
-  EXPECT_FALSE(
-      ParseResponse("QVALUE 7 18446744073709551614\r\nx\r\n", &consumed)
-          .has_value());
+  Response r;
+  EXPECT_EQ(ParseResponse("VALUE k 0 18446744073709551614\r\nEND\r\n", &r,
+                          &consumed),
+            ParseStatus::kError);
+  EXPECT_EQ(ParseResponse("QVALUE 7 18446744073709551614\r\nx\r\n", &r,
+                          &consumed),
+            ParseStatus::kError);
 }
 
 // ---- release command ----------------------------------------------------------

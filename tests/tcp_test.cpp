@@ -323,6 +323,70 @@ TEST_F(TcpServerTest, HugeLengthClaimDrawsClientErrorWithoutDesync) {
   ::close(fd);
 }
 
+/// Every reply in `bytes`, parsed in order; stops at the first that is
+/// incomplete or malformed and reports how many bytes were left over.
+std::vector<Response> ParseAll(std::string_view bytes, std::size_t* left) {
+  std::vector<Response> out;
+  while (true) {
+    Response r;
+    std::size_t consumed = 0;
+    if (ParseResponse(bytes, &r, &consumed) != ParseStatus::kOk) break;
+    out.push_back(std::move(r));
+    bytes.remove_prefix(consumed);
+  }
+  *left = bytes.size();
+  return out;
+}
+
+TEST_F(TcpServerTest, RoundTripAwaitsExactlyTheRepliesTheServerSends) {
+  // One RoundTrip carrying a valid request, a malformed line, an oversized
+  // payload claim, a request with a bad chunk terminator and a final get:
+  // the server answers each with one reply (two CLIENT_ERRORs for the bad
+  // terminator: the claimed block is skipped, then the CRLF left behind
+  // reads as an empty command line).
+  const std::string batch =
+      "set a 0 0 1\r\nx\r\n"
+      "frobnicate the bits\r\n"
+      "set big 0 0 18446744073709551614\r\n"
+      "set t 0 0 1\r\nxyz\r\n"
+      "get a\r\n";
+  ASSERT_EQ(ExpectedReplies(batch), 6u);
+
+  // The raw server agrees: send the batch plus quit, read to EOF, count.
+  int fd = RawConnect();
+  std::string raw = batch + "quit\r\n";
+  ASSERT_EQ(::write(fd, raw.data(), raw.size()),
+            static_cast<ssize_t>(raw.size()));
+  std::string all = ReadUntil(fd, "\x01never");  // until the server's FIN
+  ::close(fd);
+  std::size_t left = 0;
+  std::vector<Response> sent = ParseAll(all, &left);
+  EXPECT_EQ(left, 0u);
+  ASSERT_EQ(sent.size(), ExpectedReplies(raw));
+  EXPECT_EQ(sent.size(), 6u);
+
+  auto channel = Connect();
+  std::string reply;
+  ASSERT_TRUE(channel->RoundTrip(batch, &reply));
+  std::vector<Response> got = ParseAll(reply, &left);
+  EXPECT_EQ(left, 0u);
+  ASSERT_EQ(got.size(), 6u);
+  EXPECT_EQ(got[0].type, ResponseType::kStored);
+  for (int i = 1; i <= 4; ++i) EXPECT_EQ(got[i].type, ResponseType::kError);
+  EXPECT_EQ(got[5].type, ResponseType::kValue);
+  EXPECT_EQ(got[5].data, "x");
+  // Nothing left over to desync the next round trip.
+  ASSERT_TRUE(channel->RoundTrip("get a\r\n", &reply));
+  EXPECT_EQ(reply, "VALUE a 0 1\r\nx\r\nEND\r\n");
+
+  // quit draws no reply and the server answers nothing after it.
+  const std::string with_quit = "get a\r\nquit\r\nget a\r\n";
+  EXPECT_EQ(ExpectedReplies(with_quit), 1u);
+  ASSERT_TRUE(channel->RoundTrip(with_quit, &reply));
+  EXPECT_EQ(reply, "VALUE a 0 1\r\nx\r\nEND\r\n");
+  EXPECT_FALSE(channel->RoundTrip("get a\r\n", &reply));  // closed
+}
+
 TEST(TcpServerBackpressure, UnreadResponsesThrottleInsteadOfGrowingMemory) {
   // A client that pipelines many reads of a large value and consumes none of
   // the replies must be paused (response backlog capped, EPOLLIN dropped),
