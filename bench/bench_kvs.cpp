@@ -4,8 +4,8 @@
 // that lease-free read hits no longer serialize on shard mutexes.
 //
 // All threads share one hot keyspace (the worst case for the mutex: every
-// hit funnels through the shard locks; the best case for the seqlock:
-// readers share nothing writable but two relaxed touch-buffer slots).
+// hit funnels through the shard locks; the best case for the seqlock: a hit
+// writes only its thread's own counter line, and a key's reference bit once).
 //
 // Environment:
 //   IQ_BENCH_SECONDS   measurement window per cell in seconds (default 1.0)
@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/iq_server.h"
 #include "kvs/kvs.h"
 
@@ -27,11 +28,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int kKeys = 256;
 constexpr int kValueBytes = 64;
-
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : fallback;
-}
 
 iq::CacheStore::Config StoreConfig(bool optimistic) {
   iq::CacheStore::Config cfg;
@@ -133,7 +129,7 @@ double RunIQgetLatencyCell(bool optimistic, double seconds) {
 }  // namespace
 
 int main() {
-  const double seconds = EnvDouble("IQ_BENCH_SECONDS", 1.0);
+  const double seconds = iq::bench::EnvDouble("IQ_BENCH_SECONDS", 1.0);
   const unsigned hw = std::thread::hardware_concurrency();
   const int thread_counts[] = {1, 2, 4, 8};
 
@@ -168,8 +164,12 @@ int main() {
   std::printf("  single-thread IQget hit: optimistic %.0f ns, locked %.0f ns\n",
               iq_lat_opt, iq_lat_locked);
 
+  const double scaling_4_vs_1 =
+      cells[0].opt_ops > 0 ? cells[2].opt_ops / cells[0].opt_ops : 0;
   const double scaling_8_vs_1 =
       cells[0].opt_ops > 0 ? cells[3].opt_ops / cells[0].opt_ops : 0;
+  std::printf("\n  optimistic scaling: 4 threads %.2fx, 8 threads %.2fx of 1\n",
+              scaling_4_vs_1, scaling_8_vs_1);
   const char* note =
       hw <= 1 ? "single-CPU host: every reader thread timeshares one core, so "
                 "threads-vs-1 ratios attribute scheduler overhead, not "
@@ -193,6 +193,7 @@ int main() {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_kvs\",\n"
+               "  \"git_sha\": \"%s\",\n"
                "  \"mode\": \"shared\",\n"
                "  \"workers\": %d,\n"
                "  \"keys\": %d,\n"
@@ -200,7 +201,8 @@ int main() {
                "  \"window_seconds\": %.2f,\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"read_hit_cells\": [\n",
-               thread_counts[3], kKeys, kValueBytes, seconds, hw);
+               iq::bench::SourceRevision().c_str(), thread_counts[3], kKeys,
+               kValueBytes, seconds, hw);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     std::fprintf(f,
                  "    {\"threads\": %d, \"optimistic_ops_per_sec\": %.0f, "
@@ -210,6 +212,7 @@ int main() {
   }
   std::fprintf(f,
                "  ],\n"
+               "  \"optimistic_scaling_4_threads_vs_1\": %.2f,\n"
                "  \"optimistic_scaling_8_threads_vs_1\": %.2f,\n"
                "  \"single_thread_get_hit_ns\": "
                "{\"optimistic\": %.0f, \"locked\": %.0f},\n"
@@ -217,7 +220,8 @@ int main() {
                "{\"optimistic\": %.0f, \"locked\": %.0f},\n"
                "  \"note\": \"%s\"\n"
                "}\n",
-               scaling_8_vs_1, lat_opt, lat_locked, iq_lat_opt, iq_lat_locked,
+               scaling_4_vs_1, scaling_8_vs_1, lat_opt, lat_locked, iq_lat_opt,
+               iq_lat_locked,
                note);
   std::fclose(f);
   std::printf("  wrote %s\n", out_path);

@@ -15,6 +15,14 @@ constexpr std::uint32_t kOptOversize = 0xFFFFFFFFu;
 /// Optimistic readers give up after this many slots and fall back.
 constexpr std::size_t kOptMaxProbes = 32;
 constexpr std::size_t kOptInitialCapacity = 256;
+/// Mirror records carved from each slab allocation.
+constexpr std::size_t kOptSlabEntries = 32;
+/// Cache lines Prefetch() pulls per mirror: the header and key, and the
+/// start of the value.
+constexpr std::size_t kOptPrefetchLines = 3;
+
+/// Words holding `n` bytes; the value words start this far after the key's.
+constexpr std::size_t WordsFor(std::size_t n) { return (n + 7) / 8; }
 
 /// splitmix64 finalizer. Shard selection consumes the raw hash modulo the
 /// shard count, so within one shard every key agrees on those low bits;
@@ -87,9 +95,11 @@ CacheStore::CacheStore(Config config)
                             ? config.memory_budget_bytes / config.shard_count
                             : 0),
       opt_val_cap_(config.optimistic_value_cap),
-      opt_key_words_((kOptKeyCap + 7) / 8),
-      opt_val_words_((config.optimistic_value_cap + 7) / 8),
-      shards_(config.shard_count > 0 ? config.shard_count : 1) {
+      opt_entry_bytes_((sizeof(OptEntry) +
+                        8 * (WordsFor(kOptKeyCap) + WordsFor(opt_val_cap_)) +
+                        63) / 64 * 64),
+      shards_(config.shard_count > 0 ? config.shard_count : 1),
+      opt_counters_(std::make_unique<OptCounters[]>(kThreadSlots)) {
   for (auto& s : shards_) {
     if (config.eviction == EvictionPolicy::kCamp) {
       s.camp = std::make_unique<CampPolicy>(config.camp_precision);
@@ -97,7 +107,6 @@ CacheStore::CacheStore(Config config)
     if (opt_val_cap_ > 0) {
       s.opt_tables.push_back(std::make_unique<OptTable>(kOptInitialCapacity));
       s.opt_table.store(s.opt_tables.back().get(), std::memory_order_release);
-      s.touch_slots = std::make_unique<std::atomic<OptEntry*>[]>(kTouchSlots);
     }
   }
 }
@@ -129,20 +138,34 @@ bool CacheStore::ExpiredLocked(Shard&, const Item& item) const {
 
 // ---- optimistic-mirror maintenance (all under the shard lock) --------------
 
+CacheStore::OptEntry* CacheStore::OptAllocLocked(Shard& s) {
+  if (!s.opt_free.empty()) {
+    OptEntry* e = s.opt_free.back();
+    s.opt_free.pop_back();
+    return e;
+  }
+  if (s.opt_slab_unused == 0) {
+    s.opt_slabs.emplace_back(static_cast<std::byte*>(::operator new[](
+        kOptSlabEntries * opt_entry_bytes_, std::align_val_t{64})));
+    s.opt_slab_unused = kOptSlabEntries;
+  }
+  std::byte* at = s.opt_slabs.back().get() +
+                  (kOptSlabEntries - s.opt_slab_unused--) * opt_entry_bytes_;
+  auto* e = new (at) OptEntry();
+  const std::size_t words = (opt_entry_bytes_ - sizeof(OptEntry)) / 8;
+  for (std::size_t i = 0; i < words; ++i) {
+    new (at + sizeof(OptEntry) + 8 * i) std::atomic<std::uint64_t>(0);
+  }
+  return e;
+}
+
 void CacheStore::OptUpsertLocked(Shard& s, const std::string& key, Item& item) {
   if (opt_val_cap_ == 0 || key.size() > kOptKeyCap) return;
   OptEntry* e = item.opt;
   const bool fresh = (e == nullptr);
   if (fresh) {
-    if (!s.opt_free.empty()) {
-      e = s.opt_free.back();
-      s.opt_free.pop_back();
-    } else {
-      s.opt_pool.push_back(std::make_unique<OptEntry>());
-      e = s.opt_pool.back().get();
-      e->words = std::make_unique<std::atomic<std::uint64_t>[]>(opt_key_words_ +
-                                                                opt_val_words_);
-    }
+    e = OptAllocLocked(s);
+    e->referenced.store(0, std::memory_order_relaxed);
     item.opt = e;
   }
   const std::uint64_t h = HashKey(key);
@@ -150,11 +173,11 @@ void CacheStore::OptUpsertLocked(Shard& s, const std::string& key, Item& item) {
   e->key_hash.store(h, std::memory_order_relaxed);
   e->key_len.store(static_cast<std::uint32_t>(key.size()),
                    std::memory_order_relaxed);
-  StoreWords(e->words.get(), key);
+  StoreWords(e->words(), key);
   if (item.value.size() <= opt_val_cap_) {
     e->val_len.store(static_cast<std::uint32_t>(item.value.size()),
                      std::memory_order_relaxed);
-    StoreWords(e->words.get() + opt_key_words_, item.value);
+    StoreWords(e->words() + WordsFor(key.size()), item.value);
   } else {
     e->val_len.store(kOptOversize, std::memory_order_relaxed);
   }
@@ -230,32 +253,6 @@ void CacheStore::OptEnsureCapacityLocked(Shard& s) {
   s.opt_table.store(s.opt_tables.back().get(), std::memory_order_release);
 }
 
-void CacheStore::DrainTouchesLocked(Shard& s) {
-  if (opt_val_cap_ == 0) return;
-  const std::uint32_t head = s.touch_head.load(std::memory_order_relaxed);
-  if (head == s.touch_drained) return;
-  // Under wrap, older pushes were overwritten: skip ahead and only replay
-  // the last kTouchSlots hints (approximate LRU by design).
-  if (head - s.touch_drained > kTouchSlots) s.touch_drained = head - kTouchSlots;
-  while (s.touch_drained != head) {
-    OptEntry* e = s.touch_slots[s.touch_drained & (kTouchSlots - 1)].exchange(
-        nullptr, std::memory_order_relaxed);
-    ++s.touch_drained;
-    if (e == nullptr) continue;
-    // The entry may have been erased or recycled for another key since the
-    // reader queued it; resolve it through the live table and ignore hints
-    // that no longer match (a wrong touch would only perturb LRU order).
-    if (e->version.load(std::memory_order_relaxed) & 1) continue;
-    const std::uint32_t klen = e->key_len.load(std::memory_order_relaxed);
-    if (klen == 0 || klen > kOptKeyCap) continue;
-    char kbuf[kOptKeyCap];
-    LoadWords(e->words.get(), kbuf, klen);
-    auto it = s.items.find(std::string_view(kbuf, klen));
-    if (it == s.items.end() || it->second.opt != e) continue;
-    TouchLocked(s, it->second, it->first);
-  }
-}
-
 // ---- locked core -----------------------------------------------------------
 
 void CacheStore::EraseLocked(Shard& s, ItemMap::iterator it) {
@@ -266,22 +263,19 @@ void CacheStore::EraseLocked(Shard& s, ItemMap::iterator it) {
   s.items.erase(it);
 }
 
-void CacheStore::BumpLruLocked(Shard& s, Item& item, const std::string& key) {
-  s.lru.erase(item.lru_pos);
-  s.lru.push_front(key);
-  item.lru_pos = s.lru.begin();
+void CacheStore::BumpLruLocked(Shard& s, Item& item) {
+  // Relink the node in place: no allocation, and lru_pos stays valid.
+  s.lru.splice(s.lru.begin(), s.lru, item.lru_pos);
 }
 
 void CacheStore::TouchLocked(Shard& s, Item& item, const std::string& key) {
-  BumpLruLocked(s, item, key);
+  BumpLruLocked(s, item);
   if (s.camp) s.camp->OnAccess(key);
 }
 
 void CacheStore::EvictIfNeededLocked(Shard& s) {
   if (per_shard_budget_ == 0 || s.bytes <= per_shard_budget_) return;
-  // Replay queued optimistic-read touches first so recently-read items get
-  // their LRU/CAMP protection before victims are chosen.
-  DrainTouchesLocked(s);
+  std::size_t second_chances = s.items.size();
   while (s.bytes > per_shard_budget_ && !s.items.empty()) {
     ItemMap::iterator victim;
     if (s.camp) {
@@ -292,7 +286,6 @@ void CacheStore::EvictIfNeededLocked(Shard& s) {
         s.camp->OnErase(*key);
         continue;
       }
-      s.camp->OnEvict(*key);  // advances the inflation value L
     } else {
       if (s.lru.empty()) break;
       victim = s.items.find(s.lru.back());
@@ -301,6 +294,16 @@ void CacheStore::EvictIfNeededLocked(Shard& s) {
         continue;
       }
     }
+    OptEntry* e = victim->second.opt;
+    if (second_chances > 0 && e != nullptr &&
+        e->referenced.load(std::memory_order_relaxed) != 0) {
+      // Read without the lock since its last chance: spare it this time.
+      e->referenced.store(0, std::memory_order_relaxed);
+      --second_chances;
+      TouchLocked(s, victim->second, victim->first);
+      continue;
+    }
+    if (s.camp) s.camp->OnEvict(victim->first);  // advances the inflation L
     EraseLocked(s, victim);
     ++s.stats.evictions;
   }
@@ -337,7 +340,7 @@ void CacheStore::StoreLocked(Shard& s, std::string_view key,
       s.camp->OnInsert(it->first, it->second.cost,
                        ItemBytes(it->first, it->second.value));
     }
-    BumpLruLocked(s, it->second, it->first);
+    BumpLruLocked(s, it->second);
     OptUpsertLocked(s, it->first, it->second);
   } else {
     auto [ins, ok] = s.items.emplace(std::string(key), Item{});
@@ -367,7 +370,7 @@ void CacheStore::FinishResizeLocked(Shard& s, ItemMap::iterator it) {
     s.camp->OnInsert(it->first, it->second.cost,
                      ItemBytes(it->first, it->second.value));
   }
-  BumpLruLocked(s, it->second, it->first);
+  BumpLruLocked(s, it->second);
   OptUpsertLocked(s, it->first, it->second);
   EvictIfNeededLocked(s);
 }
@@ -407,7 +410,7 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     if (e == tomb) continue;
     const std::uint64_t v1 = e->version.load(std::memory_order_acquire);
     if (v1 & 1) {  // writer mid-update or dead entry: bounce, never spin
-      s.opt_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      MyOptCounters().fallbacks.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
     // Pre-validation loads below may be torn; any decision they feed ends in
@@ -416,7 +419,7 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     const std::uint32_t klen = e->key_len.load(std::memory_order_relaxed);
     if (klen != key.size()) continue;
     char kbuf[kOptKeyCap];
-    LoadWords(e->words.get(), kbuf, klen);
+    LoadWords(e->words(), kbuf, klen);
     if (std::memcmp(kbuf, key.data(), klen) != 0) continue;
     const std::uint32_t vlen = e->val_len.load(std::memory_order_relaxed);
     const std::uint32_t flags = e->flags.load(std::memory_order_relaxed);
@@ -426,30 +429,59 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     CacheItem out;
     if (!oversize) {
       out.value.resize(vlen);
-      LoadWords(e->words.get() + opt_key_words_, out.value.data(), vlen);
+      LoadWords(e->words() + WordsFor(klen), out.value.data(), vlen);
     }
     std::atomic_thread_fence(std::memory_order_acquire);
     if (e->version.load(std::memory_order_relaxed) != v1) {
-      s.opt_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      MyOptCounters().fallbacks.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;  // raced a writer; the locked path settles it
     }
     // Snapshot is consistent as of v1.
     if (oversize || (expires != 0 && clock_.Now() >= expires)) {
       // Big values and TTL hits are served (and expired) by the locked path.
-      s.opt_fallbacks.fetch_add(1, std::memory_order_relaxed);
+      MyOptCounters().fallbacks.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
     out.flags = flags;
     out.cas = cas;
-    // Approximate recency: queue the touch; the next locked mutation on
-    // this shard replays it into the real LRU/CAMP structures.
-    const std::uint32_t ti = s.touch_head.fetch_add(1, std::memory_order_relaxed);
-    s.touch_slots[ti & (kTouchSlots - 1)].store(e, std::memory_order_relaxed);
-    s.opt_hits.fetch_add(1, std::memory_order_relaxed);
+    // Recency for CLOCK eviction. Store only when clear: a hot key's line
+    // stays shared-clean across cores. If the entry was recycled since v1
+    // the bit lands on another key, which only perturbs victim order.
+    if (e->referenced.load(std::memory_order_relaxed) == 0) {
+      e->referenced.store(1, std::memory_order_relaxed);
+    }
+    MyOptCounters().hits.fetch_add(1, std::memory_order_relaxed);
     return out;
   }
   return std::nullopt;  // genuine miss or overlong probe chain: locked path
                         // gives the authoritative answer either way
+}
+
+void CacheStore::Prefetch(std::span<const std::string_view> keys) const {
+  if (opt_val_cap_ == 0) return;
+  // Two passes so the misses overlap: first every key's home index slot,
+  // then (those slots now arriving) the mirror each slot points at. Only
+  // the home slot is followed; a probe past it just misses the hint.
+  const std::size_t n = std::min(keys.size(), kPrefetchWindow);
+  const std::atomic<OptEntry*>* slots[kPrefetchWindow];
+  for (std::size_t i = 0; i < n; ++i) {
+    slots[i] = nullptr;
+    if (keys[i].empty() || keys[i].size() > kOptKeyCap) continue;
+    const std::uint64_t h = HashKey(keys[i]);
+    const OptTable* t =
+        shards_[h % shards_.size()].opt_table.load(std::memory_order_acquire);
+    slots[i] = &t->slots[MixHash(h) & t->mask];
+    __builtin_prefetch(slots[i]);
+  }
+  const OptEntry* tomb = Tomb<OptEntry>();
+  const std::size_t lines = std::min(kOptPrefetchLines, opt_entry_bytes_ / 64);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (slots[i] == nullptr) continue;
+    const OptEntry* e = slots[i]->load(std::memory_order_acquire);
+    if (e == nullptr || e == tomb) continue;
+    const char* line = reinterpret_cast<const char*>(e);
+    for (std::size_t l = 0; l < lines; ++l) __builtin_prefetch(line + 64 * l);
+  }
 }
 
 StoreResult CacheStore::Set(std::string_view key, std::string_view value,
@@ -587,11 +619,7 @@ void CacheStore::Flush() {
   for (auto& s : shards_) {
     std::lock_guard lock(s.mu);
     if (opt_val_cap_ > 0) {
-      // Discard queued touches and kill every mirror before dropping items.
-      s.touch_drained = s.touch_head.load(std::memory_order_relaxed);
-      for (std::uint32_t i = 0; i < kTouchSlots; ++i) {
-        s.touch_slots[i].store(nullptr, std::memory_order_relaxed);
-      }
+      // Kill every mirror before dropping items.
       for (auto& [key, item] : s.items) {
         if (item.opt != nullptr) {
           SeqBegin(*item.opt);  // leave odd = dead
@@ -619,13 +647,19 @@ void CacheStore::Flush() {
 
 CacheStats CacheStore::Stats() const {
   CacheStats total;
+  for (std::size_t i = 0; i < kThreadSlots; ++i) {
+    total.opt_hits += opt_counters_[i].hits.load(std::memory_order_relaxed);
+    total.opt_fallbacks +=
+        opt_counters_[i].fallbacks.load(std::memory_order_relaxed);
+  }
+  // Optimistic hits bypass the locked counters; fold them in so gets/
+  // get_hits keep meaning "every get / every hit" regardless of path.
+  total.gets = total.opt_hits;
+  total.get_hits = total.opt_hits;
   for (const auto& s : shards_) {
     std::lock_guard lock(s.mu);
-    const std::uint64_t opt_hits = s.opt_hits.load(std::memory_order_relaxed);
-    // Optimistic hits bypass the locked counters; fold them in so gets/
-    // get_hits keep meaning "every get / every hit" regardless of path.
-    total.gets += s.stats.gets + opt_hits;
-    total.get_hits += s.stats.get_hits + opt_hits;
+    total.gets += s.stats.gets;
+    total.get_hits += s.stats.get_hits;
     total.get_misses += s.stats.get_misses;
     total.sets += s.stats.sets;
     total.deletes += s.stats.deletes;
@@ -638,8 +672,6 @@ CacheStats CacheStore::Stats() const {
     total.evictions += s.stats.evictions;
     total.expirations += s.stats.expirations;
     total.flushes += s.stats.flushes;
-    total.opt_hits += opt_hits;
-    total.opt_fallbacks += s.opt_fallbacks.load(std::memory_order_relaxed);
     total.bytes_used += s.bytes;
     total.item_count += s.items.size();
   }
@@ -680,7 +712,7 @@ std::string CacheStore::CheckInvariants() {
           if (item.opt != nullptr) return where + "long key has a mirror";
           continue;
         }
-        const OptEntry* e = item.opt;
+        OptEntry* e = item.opt;
         if (e == nullptr) return where + "short key '" + key + "' lacks mirror";
         ++mirrored;
         if (e->version.load(std::memory_order_relaxed) & 1) {
@@ -698,7 +730,7 @@ std::string CacheStore::CheckInvariants() {
             return where + "mirror length drift for '" + key + "'";
           }
           std::string mirror(vlen, '\0');
-          LoadWords(e->words.get() + opt_key_words_, mirror.data(), vlen);
+          LoadWords(e->words() + WordsFor(key.size()), mirror.data(), vlen);
           if (mirror != item.value) {
             return where + "mirror value drift for '" + key + "'";
           }

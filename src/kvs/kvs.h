@@ -14,16 +14,22 @@
 // reachable through a lock-free open-addressing index, so the common
 // lease-free read copies the value without touching the shard mutex and
 // falls back to the locked path whenever validation fails. Writers maintain
-// the mirrors under the existing shard lock. See DESIGN.md §4.6.
+// the mirrors under the existing shard lock. A hit writes nothing another
+// core reads: recency is a CLOCK reference bit in the mirror, stored only
+// when clear, and hit counts go to the calling thread's counter slot. See
+// DESIGN.md §4.6.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <mutex>
 #include <memory>
+#include <mutex>
+#include <new>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -31,6 +37,7 @@
 
 #include "kvs/camp.h"
 #include "util/clock.h"
+#include "util/thread_slot.h"
 
 namespace iq {
 
@@ -100,6 +107,8 @@ class CacheStore {
   /// Keys longer than this are never mirrored for optimistic reads (they
   /// are served by the locked path, exactly as before).
   static constexpr std::size_t kOptKeyCap = 64;
+  /// Most keys one Prefetch() call looks at.
+  static constexpr std::size_t kPrefetchWindow = 16;
 
   struct Config {
     std::size_t shard_count = 16;
@@ -135,11 +144,18 @@ class CacheStore {
   /// nullopt whenever the answer must come from the locked path instead —
   /// true miss, oversize value, long key, concurrent write, TTL expiry, or
   /// optimistic reads disabled. Never blocks and never takes the shard
-  /// mutex; LRU/CAMP recency is recorded into a striped touch buffer that
-  /// writers drain under the shard lock.
+  /// mutex; recency is recorded by setting the mirror's CLOCK reference bit
+  /// (only if clear), which eviction turns into a second chance.
   std::optional<CacheItem> OptimisticGet(std::string_view key);
   std::optional<CacheItem> OptimisticGet(std::string_view key,
                                          std::uint64_t hash);
+
+  /// A hint that these keys (at most kPrefetchWindow are looked at) are
+  /// about to be read: pulls each one's index slot, then its mirror, toward
+  /// this core's cache, so the misses of the reads that follow overlap
+  /// instead of stalling one after another. Takes no lock, writes nothing,
+  /// and changes no result. The views are not kept past the call.
+  void Prefetch(std::span<const std::string_view> keys) const;
 
   /// set: unconditional store. `cost` is the application-reported cost of
   /// recomputing this value (used by the CAMP eviction policy; ignored by
@@ -239,7 +255,7 @@ class CacheStore {
   // ---- optimistic-read machinery (see DESIGN.md §4.6) -------------------
   //
   // OptEntry is the seqlock-versioned mirror of one live item. Entries are
-  // pool-allocated per shard and NEVER freed while the store lives (erased
+  // carved from per-shard slabs and NEVER freed while the store lives (erased
   // entries go to a free list and are recycled), so a lock-free reader can
   // always dereference a pointer it loaded from the index: at worst the
   // entry now describes a different key or a write in progress, which the
@@ -254,18 +270,30 @@ class CacheStore {
   //     acquire fence; v2 = version (relaxed); accept iff v1 == v2.
   // Erase just leaves the version odd; reuse continues the same counter, so
   // a reader holding a stale pointer can never validate across a recycle.
+  //
+  // An entry is one record: this header, then the key, then the value from
+  // the word after the key, packed into 64-bit words so the copy is a few
+  // relaxed word ops instead of per-byte atomics.
   struct OptEntry {
     std::atomic<std::uint64_t> version{0};
     std::atomic<std::uint64_t> key_hash{0};
     std::atomic<std::uint32_t> key_len{0};
     std::atomic<std::uint32_t> val_len{0};  // kOptOversize: value > cap
     std::atomic<std::uint32_t> flags{0};
+    /// CLOCK reference bit, outside the seqlock: an optimistic hit stores 1
+    /// if it reads 0; eviction clears it and spares the item once.
+    std::atomic<std::uint32_t> referenced{0};
     std::atomic<std::uint64_t> cas{0};
     std::atomic<std::int64_t> expires_at{0};
-    /// Key bytes then value bytes, packed into 64-bit words so the copy is
-    /// a handful of relaxed word ops instead of per-byte atomics.
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words;
+
+    /// The key and value words that follow the header.
+    std::atomic<std::uint64_t>* words() {
+      return std::launder(
+          reinterpret_cast<std::atomic<std::uint64_t>*>(this + 1));
+    }
   };
+  // The reference bit sits in what was padding after `flags`.
+  static_assert(sizeof(OptEntry) == 48 && alignof(OptEntry) == 8);
 
   /// Lock-free-readable open-addressing index: hash -> OptEntry*. Writers
   /// mutate slots under the shard lock; readers probe with acquire loads.
@@ -299,11 +327,13 @@ class CacheStore {
   using ItemMap = std::unordered_map<std::string, Item, TransparentStringHash,
                                      std::equal_to<>>;
 
-  /// Slots in the per-shard touch buffer (power of two). Optimistic hits
-  /// record their OptEntry here with two relaxed atomic ops; the next
-  /// locked mutation drains it into real LRU/CAMP touches. Overwrites under
-  /// wrap just lose recency hints — LRU stays approximate, never wrong.
-  static constexpr std::uint32_t kTouchSlots = 128;
+  /// Raw storage for OptEntry records, 64-byte aligned.
+  struct SlabDeleter {
+    void operator()(std::byte* p) const {
+      ::operator delete[](p, std::align_val_t{64});
+    }
+  };
+  using Slab = std::unique_ptr<std::byte[], SlabDeleter>;
 
   struct Shard {
     mutable std::mutex mu;
@@ -317,26 +347,27 @@ class CacheStore {
     // lock-free; everything is written only under mu.
     std::atomic<OptTable*> opt_table{nullptr};
     std::vector<std::unique_ptr<OptTable>> opt_tables;  // current + retired
-    std::vector<std::unique_ptr<OptEntry>> opt_pool;    // owns every entry
-    std::vector<OptEntry*> opt_free;                    // recycled entries
+    std::vector<Slab> opt_slabs;       // own every entry
+    std::size_t opt_slab_unused = 0;   // entries never handed out, last slab
+    std::vector<OptEntry*> opt_free;   // recycled entries
     std::size_t opt_live = 0;   // entries reachable through the index
     std::size_t opt_tombs = 0;  // tombstoned slots in the current table
+  };
 
-    // Striped (per-shard) approximate-LRU touch buffer.
-    std::unique_ptr<std::atomic<OptEntry*>[]> touch_slots;
-    std::atomic<std::uint32_t> touch_head{0};
-    std::uint32_t touch_drained = 0;  // guarded by mu
-
-    // Counters the lock-free read path may bump (folded into stats).
-    std::atomic<std::uint64_t> opt_hits{0};
-    std::atomic<std::uint64_t> opt_fallbacks{0};
+  /// The optimistic read path's counters, one cache line per thread slot
+  /// (util/thread_slot.h) so a hit writes no line another core writes;
+  /// Stats() folds them. Atomic because slots are shared past kThreadSlots
+  /// live threads.
+  struct alignas(64) OptCounters {
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> fallbacks{0};  // bounced to the locked path
   };
 
   Shard& ShardFor(std::string_view key);
 
   bool ExpiredLocked(Shard& s, const Item& item) const;
   void EraseLocked(Shard& s, ItemMap::iterator it);
-  void BumpLruLocked(Shard& s, Item& item, const std::string& key);
+  void BumpLruLocked(Shard& s, Item& item);
   void TouchLocked(Shard& s, Item& item, const std::string& key);
   void StoreLocked(Shard& s, std::string_view key, std::string_view value,
                    std::uint32_t flags, Nanos ttl,
@@ -345,6 +376,10 @@ class CacheStore {
   /// refresh CAMP's recorded size at the preserved cost, touch the LRU,
   /// refresh the optimistic mirror, and re-check the byte budget.
   void FinishResizeLocked(Shard& s, ItemMap::iterator it);
+  /// Evict until the shard is under budget. A victim whose mirror was read
+  /// optimistically since its last second chance gets another one (CLOCK):
+  /// its reference bit is cleared and it counts as touched. Second chances
+  /// per call are bounded by the item count, so readers cannot livelock it.
   void EvictIfNeededLocked(Shard& s);
   static std::size_t ItemBytes(std::string_view key, std::string_view value);
 
@@ -352,17 +387,19 @@ class CacheStore {
   ItemMap::iterator FindLive(Shard& s, std::string_view key);
 
   // Optimistic-mirror maintenance; all run under the shard lock.
+  OptEntry* OptAllocLocked(Shard& s);
   void OptUpsertLocked(Shard& s, const std::string& key, Item& item);
   void OptEraseLocked(Shard& s, Item& item);
   void OptEnsureCapacityLocked(Shard& s);
-  void DrainTouchesLocked(Shard& s);
+  OptCounters& MyOptCounters() { return opt_counters_[ThreadSlot()]; }
 
   const Clock& clock_;
   std::size_t per_shard_budget_;
   std::size_t opt_val_cap_;    // 0 = optimistic reads disabled
-  std::size_t opt_key_words_;  // words reserved for the key mirror
-  std::size_t opt_val_words_;  // words reserved for the value mirror
+  std::size_t opt_entry_bytes_;  // header + longest key + largest value,
+                                 // rounded up to a cache line
   std::vector<Shard> shards_;
+  std::unique_ptr<OptCounters[]> opt_counters_;  // kThreadSlots of them
   std::atomic<std::uint64_t> cas_counter_{1};
 };
 

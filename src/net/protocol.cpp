@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <optional>
@@ -280,13 +281,19 @@ void Fill(Request* out, Command command, const RequestLine& line,
   out->session = line.session;
 }
 
+/// What a framing-only parse learns about a complete request.
+struct Framed {
+  const Verb* verb = nullptr;
+  std::string_view key;  // first key; a view into the parsed bytes
+};
+
 /// Parse (out != nullptr) or just frame (out == nullptr) the request at the
 /// front of `bytes`. *consumed: the message length on kOk, the bytes to skip
 /// on kError, and on kNeedMore the size the bytes must reach before another
-/// attempt can succeed. `error` and `verb` may be null.
+/// attempt can succeed. `error` and `framed` may be null.
 ParseStatus ParseRequest(std::string_view bytes, Request* out,
                          std::size_t* consumed, std::string* error,
-                         const Verb** verb) {
+                         Framed* framed) {
   std::size_t eol = bytes.find("\r\n");
   if (eol == std::string_view::npos) {
     *consumed = bytes.size() + 1;
@@ -338,9 +345,34 @@ ParseStatus ParseRequest(std::string_view bytes, Request* out,
     data = bytes.substr(line_end, need);
   }
   *consumed = total;
-  if (verb != nullptr) *verb = v;
+  if (framed != nullptr) *framed = Framed{v, line.key};
   if (out != nullptr) Fill(out, v->command, line, data);
   return ParseStatus::kOk;
+}
+
+/// Frame the complete requests at the front of `bytes`, at most `limit` of
+/// them, stopping at an incomplete one and before `quit` (the server
+/// closes there). Calls visit(key) for each, with an empty key for a
+/// malformed request (it draws one CLIENT_ERROR) or a keyless verb.
+/// Returns how many were framed.
+template <typename Visit>
+std::size_t FrameRequests(std::string_view bytes, std::size_t limit,
+                          Visit visit) {
+  std::size_t n = 0;
+  while (n < limit && !bytes.empty()) {
+    std::size_t consumed = 0;
+    Framed framed;
+    ParseStatus status =
+        ParseRequest(bytes, nullptr, &consumed, nullptr, &framed);
+    if (status == ParseStatus::kNeedMore) break;
+    if (status == ParseStatus::kOk && framed.verb->command == Command::kQuit) {
+      break;
+    }
+    visit(framed.key);  // empty on kError
+    ++n;
+    bytes.remove_prefix(consumed);
+  }
+  return n;
 }
 
 }  // namespace
@@ -400,18 +432,14 @@ RequestParser::Status RequestParser::Next(Request* out, std::string* error) {
 }
 
 std::size_t ExpectedReplies(std::string_view bytes) {
-  std::size_t replies = 0;
-  while (!bytes.empty()) {
-    std::size_t consumed = 0;
-    const Verb* verb = nullptr;
-    ParseStatus status =
-        ParseRequest(bytes, nullptr, &consumed, nullptr, &verb);
-    if (status == ParseStatus::kNeedMore) break;
-    if (status == ParseStatus::kOk && verb->command == Command::kQuit) break;
-    ++replies;  // kError draws one CLIENT_ERROR
-    bytes.remove_prefix(consumed);
-  }
-  return replies;
+  return FrameRequests(bytes, SIZE_MAX, [](std::string_view) {});
+}
+
+std::size_t PeekKeys(std::string_view bytes,
+                     std::span<std::string_view> keys) {
+  std::size_t n = 0;
+  return FrameRequests(bytes, keys.size(),
+                       [&](std::string_view key) { keys[n++] = key; });
 }
 
 void AppendTo(const Request& r, std::string* out) {

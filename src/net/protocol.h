@@ -55,7 +55,8 @@
 // single-key request or reply into a warm one allocates nothing. The
 // request parser is incremental. The same parse functions double as
 // framing-only scans (no output object): TcpChannel uses them to count the
-// replies a batch draws and to find where each reply ends.
+// replies a batch draws and to find where each reply ends, and TcpServer to
+// peek at the keys of the requests it is about to execute.
 #pragma once
 
 #include <cstdint>
@@ -189,6 +190,8 @@ class RequestParser {
 
   /// Bytes buffered but not yet consumed by Next().
   std::size_t buffered() const { return buffer_.size(); }
+  /// Those bytes, valid until the next Feed/Commit/Next.
+  std::string_view Unread() const { return buffer_.Unread(); }
 
  private:
   RecvBuffer buffer_;
@@ -207,6 +210,13 @@ void AppendTo(const Request& request, std::string* out);
 /// oversized payload claim, none for `quit` or anything after it (the
 /// server closes). A framing-only scan: it builds no Request.
 std::size_t ExpectedReplies(std::string_view bytes);
+
+/// The first key of each of the next complete requests at the front of
+/// `bytes`, at most keys.size() of them, in order; empty for a request
+/// without a key or a malformed one. Stops at an incomplete request and
+/// before `quit`. Returns how many requests it framed (the slots written).
+/// The same framing-only scan as ExpectedReplies; the keys view `bytes`.
+std::size_t PeekKeys(std::string_view bytes, std::span<std::string_view> keys);
 
 // ---- responses ----------------------------------------------------------------
 

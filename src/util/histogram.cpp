@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <functional>
 #include <limits>
-#include <thread>
+
+#include "util/thread_slot.h"
 
 namespace iq {
 
@@ -108,8 +108,7 @@ StripedLatencyRecorder::StripedLatencyRecorder(std::size_t num_classes,
 }
 
 StripedLatencyRecorder::Stripe& StripedLatencyRecorder::StripeForThisThread() {
-  std::size_t h = std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return stripes_[h % stripes_.size()];
+  return stripes_[ThreadSlot() % stripes_.size()];
 }
 
 void StripedLatencyRecorder::Record(std::size_t cls, Nanos value) {

@@ -58,7 +58,8 @@ class LatencyHistogram {
 
 /// Thread-striped latency histograms keyed by a small class index (e.g. one
 /// class per server command). Record() locks only the calling thread's
-/// stripe, so concurrent recorders from different threads rarely contend;
+/// stripe, chosen by its ThreadSlot() (util/thread_slot.h), so up to
+/// num_stripes live recording threads never share a stripe or its mutex;
 /// Merged() folds every stripe's histogram for one class into a snapshot.
 /// Histograms are allocated lazily, so an idle recorder costs a few pointers.
 class StripedLatencyRecorder {

@@ -172,12 +172,15 @@ TEST(CacheStore, LruEvictionUnderBudget) {
 TEST(CacheStore, LruKeepsRecentlyReadItems) {
   CacheStore store({.shard_count = 1, .memory_budget_bytes = 1200});
   for (int i = 0; i < 10; ++i) store.Set("key" + std::to_string(i), "0123456789");
-  // Touch key0 repeatedly so key1 becomes the LRU victim.
+  // Read key0 repeatedly so key1 becomes the LRU victim. The reads take the
+  // optimistic path, so only key0's reference bit records them.
   for (int i = 0; i < 5; ++i) store.Get("key0");
+  EXPECT_GE(store.Stats().opt_hits, 1u);
   for (int i = 10; i < 18; ++i) store.Set("key" + std::to_string(i), "0123456789");
-  if (store.Stats().evictions > 0) {
-    EXPECT_TRUE(store.Get("key0"));
-  }
+  EXPECT_GT(store.Stats().evictions, 0u);
+  EXPECT_TRUE(store.Get("key0"));
+  EXPECT_FALSE(store.Get("key1"));
+  EXPECT_EQ(store.CheckInvariants(), "");
 }
 
 TEST(CacheStore, StatsCountHitsAndMisses) {
@@ -562,6 +565,148 @@ TEST(CacheStore, OptimisticReadsUnderConcurrentWrites) {
   stop.store(true);
   for (auto& r : readers) r.join();
   EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_EQ(store.CheckInvariants(), "");
+}
+
+// ---- CLOCK second chance and per-thread hit counters ------------------------
+
+/// Presence without a touch: no LRU bump, no reference bit.
+bool Has(CacheStore& store, const std::string& key) {
+  auto g = store.LockKey(key);
+  return store.ContainsLocked(g, key);
+}
+
+/// Four-byte keys "keya", "keyb", ..., so every item below costs the same.
+std::string Key(int i) {
+  return "key" + std::string(1, static_cast<char>('a' + i));
+}
+
+/// One shard holding exactly ten Key(i) -> 10-byte items (78 bytes each).
+CacheStore::Config TenItemShard(EvictionPolicy policy) {
+  return {.shard_count = 1, .memory_budget_bytes = 10 * 78, .eviction = policy};
+}
+
+TEST(CacheStore, OptimisticReadEarnsOneSecondChanceUnderLru) {
+  CacheStore store(TenItemShard(EvictionPolicy::kLru));
+  for (int i = 0; i < 10; ++i) store.Set(Key(i), "0123456789");
+  ASSERT_TRUE(store.OptimisticGet(Key(0)));
+  store.Set(Key(10), "0123456789");  // over budget by one item
+  EXPECT_TRUE(Has(store, Key(0)));  // referenced: spared, moved to the front
+  EXPECT_FALSE(Has(store, Key(1)));
+  // The chance is spent and key0 now ranks just after Key(10), the item
+  // whose insert spared it: Key(2)..Key(9), then Key(10), then key0 go.
+  for (int i = 11; i < 20; ++i) store.Set(Key(i), "0123456789");
+  EXPECT_TRUE(Has(store, Key(0)));
+  EXPECT_FALSE(Has(store, Key(9)));
+  EXPECT_FALSE(Has(store, Key(10)));
+  store.Set(Key(20), "0123456789");
+  EXPECT_FALSE(Has(store, Key(0)));
+  EXPECT_EQ(store.Stats().evictions, 11u);
+  EXPECT_EQ(store.CheckInvariants(), "");
+}
+
+TEST(CacheStore, OptimisticReadEarnsSecondChanceUnderCamp) {
+  // Equal cost and size: CAMP evicts in insertion order, so key0 goes
+  // first unless its optimistic read counts as an access.
+  CacheStore unread(TenItemShard(EvictionPolicy::kCamp));
+  CacheStore read(TenItemShard(EvictionPolicy::kCamp));
+  for (CacheStore* store : {&unread, &read}) {
+    for (int i = 0; i < 10; ++i) store->Set(Key(i), "0123456789");
+  }
+  ASSERT_TRUE(read.OptimisticGet(Key(0)));
+  for (CacheStore* store : {&unread, &read}) {
+    store->Set(Key(10), "0123456789");
+    EXPECT_EQ(store->Stats().evictions, 1u);
+    EXPECT_EQ(store->CheckInvariants(), "");
+  }
+  EXPECT_FALSE(Has(unread, Key(0)));
+  EXPECT_TRUE(Has(unread, Key(1)));
+  EXPECT_TRUE(Has(read, Key(0)));
+  EXPECT_FALSE(Has(read, Key(1)));
+}
+
+TEST(CacheStore, EvictionGetsUnderBudgetWhenEveryItemIsReferenced) {
+  for (EvictionPolicy policy : {EvictionPolicy::kLru, EvictionPolicy::kCamp}) {
+    CacheStore store(
+        {.shard_count = 1, .memory_budget_bytes = 20 * 78, .eviction = policy});
+    for (int i = 0; i < 20; ++i) store.Set(Key(i), "0123456789");
+    for (int i = 0; i < 20; ++i) ASSERT_TRUE(store.OptimisticGet(Key(i)));
+    for (int i = 20; i < 26; ++i) store.Set(Key(i), "0123456789");
+    const CacheStats stats = store.Stats();
+    EXPECT_EQ(stats.evictions, 6u);
+    EXPECT_EQ(stats.item_count, 20u);
+    EXPECT_LE(stats.bytes_used, 20u * 78u);
+    EXPECT_EQ(store.CheckInvariants(), "");
+  }
+}
+
+TEST(CacheStore, PerThreadHitCountersFoldExactly) {
+  CacheStore store;
+  for (int i = 0; i < 26; ++i) store.Set(Key(i), "v");
+  constexpr int kThreads = 4;
+  constexpr int kHitsPerThread = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, t] {
+      for (int i = 0; i < kHitsPerThread; ++i) {
+        EXPECT_TRUE(store.Get(Key((i + t) % 26)));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const CacheStats stats = store.Stats();
+  const std::uint64_t hits = std::uint64_t{kThreads} * kHitsPerThread;
+  EXPECT_EQ(stats.opt_hits, hits);  // no writer: every hit is optimistic
+  EXPECT_EQ(stats.gets, hits);
+  EXPECT_EQ(stats.get_hits, hits);
+  EXPECT_EQ(stats.get_misses, 0u);
+}
+
+TEST(CacheStore, OptimisticReadersRaceEvictingWriters) {
+  // Readers set reference bits while writers churn a keyspace several
+  // times the budget, so every write evicts and clears bits under the
+  // lock. Every value read must be one its key held; the store must end
+  // consistent and under budget. TSan checks the reference-bit protocol.
+  constexpr std::size_t kBudget = 4 * 1024;
+  CacheStore store({.shard_count = 2, .memory_budget_bytes = kBudget});
+  constexpr int kKeys = 200;
+  auto value_for = [](int k, int gen) {
+    return "k" + std::to_string(k) + ":" + std::to_string(gen);
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> bad_reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = t; !stop.load(std::memory_order_relaxed); ++i) {
+        const int k = (i * 7) % kKeys;
+        const std::string key = "r" + std::to_string(k);
+        auto item = (i & 1) ? store.Get(key) : store.OptimisticGet(key);
+        if (!item) continue;
+        const std::string want = "k" + std::to_string(k) + ":";
+        if (item->value.compare(0, want.size(), want) != 0) {
+          bad_reads.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t) {
+    writers.emplace_back([&, t] {
+      for (int gen = 1; gen <= 3000; ++gen) {
+        const int k = (gen * 13 + t * 101) % kKeys;
+        store.Set("r" + std::to_string(k), value_for(k, gen));
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  stop.store(true);
+  for (auto& r : readers) r.join();
+  const CacheStats stats = store.Stats();
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.opt_hits, 0u);
+  EXPECT_LE(stats.bytes_used, kBudget);
   EXPECT_EQ(store.CheckInvariants(), "");
 }
 

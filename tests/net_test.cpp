@@ -302,6 +302,34 @@ void ExpectRequestRoundTrips(const Request& original) {
   }
   // The client's framing-only count agrees: quit is the one silent verb.
   EXPECT_EQ(ExpectedReplies(bytes), original.command == Command::kQuit ? 0u : 1u);
+  // So does the server's key peek, and it finds the key the parse does.
+  std::string_view keys[2];
+  ASSERT_EQ(PeekKeys(bytes, keys), original.command == Command::kQuit ? 0u : 1u);
+  if (original.command != Command::kQuit) {
+    EXPECT_EQ(keys[0], want.key);
+  }
+}
+
+TEST(PeekKeys, FramesUpToTheLimitAndStopsWhereTheParserWould) {
+  const std::string bytes =
+      "get a b\r\n"
+      "frobnicate\r\n"
+      "set c 0 0 1\r\nx\r\n"
+      "stats\r\n"
+      "iqget d 7\r\n"
+      "quit\r\n"
+      "get e\r\n";
+  std::string_view keys[8];
+  ASSERT_EQ(PeekKeys(bytes, keys), 5u);  // stops before quit
+  EXPECT_EQ(keys[0], "a");               // a multi-key get's first key
+  EXPECT_EQ(keys[1], "");                // malformed: one reply, no key
+  EXPECT_EQ(keys[2], "c");
+  EXPECT_EQ(keys[3], "");                // keyless verb
+  EXPECT_EQ(keys[4], "d");
+  EXPECT_EQ(PeekKeys(bytes, std::span(keys, 2)), 2u);
+  // An incomplete request ends the scan: here, a payload still arriving.
+  EXPECT_EQ(PeekKeys("get a\r\nset b 0 0 5\r\nxy", keys), 1u);
+  EXPECT_EQ(PeekKeys("", keys), 0u);
 }
 
 // Round-trip property: Serialize(request) parses back to an identical

@@ -769,5 +769,177 @@ TEST(AffinityDegradation, TinyMailboxStillAnswersEverythingInOrder) {
             s.requests);
 }
 
+// ---- the prefetch window changes no reply ---------------------------------
+
+/// A fresh server (its own IQServer, so token and cas counters restart)
+/// with w0..w19 stored, reachable over raw sockets.
+struct TranscriptServer {
+  explicit TranscriptServer(bool affinity) {
+    for (int i = 0; i < 20; ++i) {
+      iq.store().Set("w" + std::to_string(i), "v" + std::to_string(i));
+    }
+    TcpServer::Config cfg;
+    cfg.workers = affinity ? 4 : 2;
+    cfg.affinity = affinity;
+    tcp = std::make_unique<TcpServer>(iq, cfg);
+    std::string error;
+    EXPECT_TRUE(tcp->Start(&error)) << error;
+  }
+
+  int Connect() const {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(tcp->port());
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    int on = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
+    return fd;
+  }
+
+  IQServer iq;
+  std::unique_ptr<TcpServer> tcp;
+};
+
+/// 40 requests ending in quit: get, gets, iqget (hits and one miss), set,
+/// multi-key get, a malformed line and an oversized payload claim. Replies
+/// must not depend on how affinity mode interleaves owners, so `gets` (which
+/// shows cas) only reads keys the burst never writes, and only one request
+/// draws a lease token.
+std::vector<std::string> TranscriptRequests() {
+  std::vector<std::string> reqs;
+  for (int i = 0; reqs.size() < 39; ++i) {
+    const std::string w = "w" + std::to_string(i % 20);
+    const std::string s = "s" + std::to_string(i);
+    switch (i % 6) {
+      case 0: reqs.push_back("get " + w + "\r\n"); break;
+      case 1: reqs.push_back("gets " + w + "\r\n"); break;
+      case 2: reqs.push_back("iqget " + w + " 0\r\n"); break;
+      case 3: {
+        const std::string v = "value-" + std::to_string(i);
+        reqs.push_back("set " + s + " 0 0 " + std::to_string(v.size()) +
+                       "\r\n" + v + "\r\n");
+        break;
+      }
+      case 4:
+        reqs.push_back("iqget s" + std::to_string(i - 1) + " 0\r\n");
+        break;
+      case 5:
+        reqs.push_back("get " + w + " s" + std::to_string(i - 2) +
+                       " nothere\r\n");
+        break;
+    }
+    if (reqs.size() == 10) reqs.push_back("frobnicate the bits\r\n");
+    if (reqs.size() == 25) {
+      reqs.push_back("set big 0 0 18446744073709551614\r\n");
+    }
+    if (reqs.size() == 30) reqs.push_back("iqget absent 7\r\n");
+  }
+  reqs.resize(39);
+  reqs.push_back("quit\r\n");
+  return reqs;
+}
+
+/// Each request written alone and its one reply read before the next; quit
+/// draws none. Returns every reply byte in order.
+std::string OneAtATime(const std::vector<std::string>& reqs, bool affinity) {
+  TranscriptServer srv(affinity);
+  int fd = srv.Connect();
+  std::string replies;
+  std::string pending;
+  char buf[4096];
+  for (const std::string& req : reqs) {
+    EXPECT_EQ(::write(fd, req.data(), req.size()),
+              static_cast<ssize_t>(req.size()));
+    if (req == "quit\r\n") break;
+    std::size_t consumed = 0;
+    while (ParseResponse(pending, nullptr, &consumed) != ParseStatus::kOk) {
+      ssize_t r = ::read(fd, buf, sizeof(buf));
+      if (r <= 0) {
+        ADD_FAILURE() << "connection ended before the reply to " << req;
+        ::close(fd);
+        return replies;
+      }
+      pending.append(buf, static_cast<std::size_t>(r));
+    }
+    EXPECT_EQ(consumed, pending.size()) << "more than one reply to " << req;
+    replies += pending;
+    pending.clear();
+  }
+  EXPECT_EQ(::read(fd, buf, sizeof(buf)), 0);  // quit: FIN, no reply
+  ::close(fd);
+  return replies;
+}
+
+/// The whole burst pipelined, written in pieces that end at `cuts` (byte
+/// offsets), with a pause after each so the server reads them separately.
+/// Returns everything the server sent before its FIN.
+std::string Pipelined(const std::vector<std::string>& reqs, bool affinity,
+                      const std::vector<std::size_t>& cuts) {
+  std::string burst;
+  for (const std::string& req : reqs) burst += req;
+  TranscriptServer srv(affinity);
+  int fd = srv.Connect();
+  std::size_t at = 0;
+  for (std::size_t cut : cuts) {
+    EXPECT_EQ(::write(fd, burst.data() + at, cut - at),
+              static_cast<ssize_t>(cut - at));
+    at = cut;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(::write(fd, burst.data() + at, burst.size() - at),
+            static_cast<ssize_t>(burst.size() - at));
+  std::string all;
+  char buf[4096];
+  for (ssize_t r; (r = ::read(fd, buf, sizeof(buf))) > 0;) {
+    all.append(buf, static_cast<std::size_t>(r));
+  }
+  ::close(fd);
+  return all;
+}
+
+class PrefetchWindowTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PrefetchWindowTest, PipelinedBurstRepliesMatchOneAtATime) {
+  const bool affinity = GetParam();
+  const std::vector<std::string> reqs = TranscriptRequests();
+  ASSERT_EQ(reqs.size(), 40u);
+  const std::string want = OneAtATime(reqs, affinity);
+  std::size_t left = 0;
+  ASSERT_EQ(ParseAll(want, &left).size(), 39u);
+  EXPECT_EQ(left, 0u);
+  EXPECT_NE(want.find("CLIENT_ERROR"), std::string::npos);
+  EXPECT_NE(want.find("MISS_TOKEN"), std::string::npos);
+  EXPECT_EQ(Pipelined(reqs, affinity, {}), want);
+}
+
+TEST_P(PrefetchWindowTest, WindowWhoseLastRequestIsSplitAcrossReads) {
+  // The first window is the first request plus the 15 buffered behind it.
+  // Cut the burst inside the window's last request, and again inside a
+  // later set's payload: the first read frames a short window, and the
+  // request completes only in a later read.
+  const bool affinity = GetParam();
+  const std::vector<std::string> reqs = TranscriptRequests();
+  std::size_t window_end = 0;  // offset of request 16's first byte
+  for (std::size_t i = 0; i < CacheStore::kPrefetchWindow; ++i) {
+    window_end += reqs[i].size();
+  }
+  const std::size_t mid_last = window_end - reqs[15].size() / 2;
+  std::size_t set_at = window_end;
+  std::size_t i = CacheStore::kPrefetchWindow;
+  for (; reqs[i].rfind("set s", 0) != 0; ++i) set_at += reqs[i].size();
+  const std::size_t mid_payload = set_at + reqs[i].size() - 4;
+  EXPECT_EQ(Pipelined(reqs, affinity, {mid_last, mid_payload}),
+            OneAtATime(reqs, affinity));
+}
+
+INSTANTIATE_TEST_SUITE_P(SharedAndAffinity, PrefetchWindowTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Affinity" : "Shared";
+                         });
+
 }  // namespace
 }  // namespace iq::net

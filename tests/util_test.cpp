@@ -3,11 +3,16 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "util/backoff.h"
 #include "util/clock.h"
 #include "util/histogram.h"
 #include "util/rng.h"
+#include "util/thread_slot.h"
 #include "util/worker_group.h"
 
 namespace iq {
@@ -250,6 +255,67 @@ TEST(LatencyHistogram, SummaryMentionsPercentiles) {
   std::string s = h.Summary();
   EXPECT_NE(s.find("p95"), std::string::npos);
   EXPECT_NE(s.find("n=1"), std::string::npos);
+}
+
+TEST(StripedLatencyRecorder, FourThreadsMergeExactly) {
+  StripedLatencyRecorder recorder(/*num_classes=*/2);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&recorder, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        recorder.Record(static_cast<std::size_t>(i % 2), 100 * (t + 1));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t cls = 0; cls < 2; ++cls) {
+    LatencyHistogram merged = recorder.Merged(cls);
+    EXPECT_EQ(merged.Count(), std::uint64_t{kThreads} * kPerThread / 2);
+    EXPECT_EQ(merged.Min(), 100);
+    EXPECT_EQ(merged.Max(), 400);
+  }
+}
+
+// ---- thread slots ----------------------------------------------------------------
+
+TEST(ThreadSlot, LiveThreadsHoldDistinctStableSlots) {
+  constexpr int kThreads = 8;
+  std::mutex mu;
+  std::set<std::size_t> slots;
+  std::atomic<int> arrived{0};
+  std::atomic<bool> stable{true};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      const std::size_t mine = ThreadSlot();
+      {
+        std::lock_guard lock(mu);
+        slots.insert(mine);
+      }
+      // Stay alive until every thread holds its slot.
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      if (ThreadSlot() != mine) stable.store(false);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(slots.size(), static_cast<std::size_t>(kThreads));
+  for (std::size_t slot : slots) EXPECT_LT(slot, kThreadSlots);
+  EXPECT_TRUE(stable.load());
+}
+
+TEST(ThreadSlot, ExitedThreadsReturnTheirSlots) {
+  // Far more threads over time than slots: with slots recycled, each of
+  // these sequential threads finds one free and never has to share.
+  std::set<std::size_t> seen;
+  for (std::size_t i = 0; i < 4 * kThreadSlots; ++i) {
+    std::size_t slot = kThreadSlots;
+    std::thread([&slot] { slot = ThreadSlot(); }).join();
+    seen.insert(slot);
+  }
+  EXPECT_LT(seen.size(), kThreadSlots);
 }
 
 // ---- backoff -------------------------------------------------------------------
