@@ -1,29 +1,22 @@
-// bench_tpc: thread-per-core A/B for the TCP front end — the numbers behind
-// DESIGN.md §4.7. Each cell starts a real iqcached stack (IQServer behind
-// TcpServer) in shared or shard-affinity mode with N workers, drives it with
+// bench_tpc: worker scaling of the TCP front end. Each cell starts a real
+// iqcached stack (IQServer behind TcpServer) with N workers, drives it with
 // N pipelined client connections issuing IQget hits over loopback, and
-// measures aggregate responses/sec. A mixed cell adds sets (cross-shard
-// writes) and multi-key gets (control-plane fan-out) to exercise the
-// forwarding mailbox and the inline-fallback path, not just the hot loop.
+// measures aggregate responses/sec. A mixed cell at the largest worker count
+// adds sets and multi-key gets, so writes and multi-shard reads contend with
+// the hit path.
 //
 // Environment:
 //   IQ_BENCH_SECONDS      measurement window per cell in seconds (default 1.0)
 //   IQ_BENCH_TPC_OUT      JSON artifact path (default BENCH_tpc.json)
-//   IQ_BENCH_TPC_ASSERT   "1" = fail (exit 1) when the affinity mode shows no
-//                         benefit. Only meaningful on a multicore host; the
-//                         checks are skipped (with a note) when
-//                         hardware_concurrency <= 1, where workers timeshare
-//                         one core and the comparison attributes scheduler
-//                         noise, not the architecture.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/iq_server.h"
 #include "net/channel.h"
 #include "net/tcp_channel.h"
@@ -37,23 +30,9 @@ constexpr int kKeys = 256;
 constexpr int kValueBytes = 64;
 constexpr int kPipelineDepth = 64;
 
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : fallback;
-}
-
-struct CellResult {
-  double ops_per_sec = 0;
-  // Placement breakdown, affinity mode only (all zero in shared mode).
-  std::uint64_t forwards = 0;
-  std::uint64_t inline_ops = 0;
-  std::uint64_t fallbacks = 0;
-};
-
-/// One A/B cell: `clients` pipelined connections of IQget hits (plus a
-/// set / multi-get slice when `mixed`) against a fresh server.
-CellResult RunCell(bool affinity, int workers, int clients, bool mixed,
-                   double seconds) {
+/// One cell: `clients` pipelined connections of IQget hits (plus a set /
+/// multi-get slice when `mixed`) against a fresh server. Returns ops/s.
+double RunCell(int workers, int clients, bool mixed, double seconds) {
   iq::IQServer server(iq::CacheStore::Config{.shard_count = 16,
                                              .memory_budget_bytes = 0},
                       iq::IQServer::Config{});
@@ -67,8 +46,9 @@ CellResult RunCell(bool affinity, int workers, int clients, bool mixed,
 
   iq::net::TcpServer::Config cfg;
   cfg.workers = workers;
-  cfg.affinity = affinity;
-  cfg.spin_polls = 0;  // apples-to-apples: no spin advantage either way
+  // Workers block in epoll_wait: with as many clients as workers, spinning
+  // workers would take cores from the clients at the largest cell.
+  cfg.spin_polls = 0;
   iq::net::TcpServer tcp(server, cfg);
   std::string error;
   if (!tcp.Start(&error)) {
@@ -98,13 +78,12 @@ CellResult RunCell(bool affinity, int workers, int clients, bool mixed,
           iq::net::Request r;
           std::size_t n = i++ % kKeys;
           if (mixed && b % 8 == 7) {
-            // Write slice: cross-shard sets keep the owners' mutation path
-            // (and, in affinity mode, the forwarding mailbox) hot.
+            // Write slice: sets keep the shards' mutation path hot.
             r.command = iq::net::Command::kSet;
             r.key = keys[n];
             r.data = value;
           } else if (mixed && b % 16 == 2) {
-            // Control slice: multi-key get fans out across shards.
+            // Multi-key get: one request locks two shards.
             r.command = iq::net::Command::kGet;
             r.keys = {keys[n], keys[(n + kKeys / 2) % kKeys]};
           } else {
@@ -132,26 +111,15 @@ CellResult RunCell(bool affinity, int workers, int clients, bool mixed,
   for (auto& t : threads) t.join();
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - start).count();
-
-  CellResult r;
-  r.ops_per_sec =
-      elapsed > 0 ? static_cast<double>(total.load()) / elapsed : 0;
-  iq::net::TcpServerStats s = tcp.Stats();
-  r.forwards = s.affinity_forwards;
-  r.inline_ops = s.affinity_inline;
-  r.fallbacks = s.affinity_fallbacks;
   tcp.Stop();
-  return r;
+  return elapsed > 0 ? static_cast<double>(total.load()) / elapsed : 0;
 }
 
 }  // namespace
 
 int main() {
-  const double seconds = EnvDouble("IQ_BENCH_SECONDS", 1.0);
+  const double seconds = iq::bench::EnvDouble("IQ_BENCH_SECONDS", 1.0);
   const unsigned hw = std::thread::hardware_concurrency();
-  const bool assert_scaling =
-      std::getenv("IQ_BENCH_TPC_ASSERT") != nullptr &&
-      std::strcmp(std::getenv("IQ_BENCH_TPC_ASSERT"), "1") == 0;
   const int worker_counts[] = {1, 2, 4};
 
   std::printf("bench_tpc: pipelined IQget hits over loopback, depth %d, "
@@ -159,71 +127,22 @@ int main() {
               "threads\n\n",
               kPipelineDepth, kKeys, kValueBytes, seconds, hw);
 
-  struct Row {
-    int workers;
-    CellResult shared;
-    CellResult affinity;
-  };
-  std::vector<Row> rows;
-  std::printf("  %-8s %16s %16s %9s %10s\n", "workers", "shared ops/s",
-              "affinity ops/s", "ratio", "fwd-share");
+  std::vector<double> hit_ops;
+  std::printf("  %-8s %16s\n", "workers", "ops/s");
   for (int w : worker_counts) {
-    Row row;
-    row.workers = w;
-    // Clients match workers so every worker has traffic to own.
-    row.shared = RunCell(/*affinity=*/false, w, /*clients=*/w,
-                         /*mixed=*/false, seconds);
-    row.affinity = RunCell(/*affinity=*/true, w, /*clients=*/w,
-                           /*mixed=*/false, seconds);
-    rows.push_back(row);
-    const double routed = static_cast<double>(
-        row.affinity.forwards + row.affinity.inline_ops +
-        row.affinity.fallbacks);
-    std::printf("  %-8d %16.0f %16.0f %8.2fx %9.2f%%\n", w,
-                row.shared.ops_per_sec, row.affinity.ops_per_sec,
-                row.shared.ops_per_sec > 0
-                    ? row.affinity.ops_per_sec / row.shared.ops_per_sec
-                    : 0,
-                routed > 0
-                    ? 100.0 * static_cast<double>(row.affinity.forwards) /
-                          routed
-                    : 0);
+    // One client connection per worker, so every worker has traffic.
+    hit_ops.push_back(RunCell(w, /*clients=*/w, /*mixed=*/false, seconds));
+    std::printf("  %-8d %16.0f\n", w, hit_ops.back());
   }
+  const double scaling = hit_ops[0] > 0 ? hit_ops[2] / hit_ops[0] : 0;
+  std::printf("\n  %d-vs-1 worker scaling: %.2fx\n", worker_counts[2],
+              scaling);
 
   const int max_workers = worker_counts[2];
-  CellResult mixed_shared = RunCell(false, max_workers, max_workers,
-                                    /*mixed=*/true, seconds);
-  CellResult mixed_affinity = RunCell(true, max_workers, max_workers,
-                                      /*mixed=*/true, seconds);
-  std::printf("\n  mixed (set + multi-get slices), %d workers: shared %.0f "
-              "ops/s, affinity %.0f ops/s (%.2fx, %llu fallbacks)\n",
-              max_workers, mixed_shared.ops_per_sec,
-              mixed_affinity.ops_per_sec,
-              mixed_shared.ops_per_sec > 0
-                  ? mixed_affinity.ops_per_sec / mixed_shared.ops_per_sec
-                  : 0,
-              static_cast<unsigned long long>(mixed_affinity.fallbacks));
-
-  const double affinity_scaling_4_vs_1 =
-      rows[0].affinity.ops_per_sec > 0
-          ? rows[2].affinity.ops_per_sec / rows[0].affinity.ops_per_sec
-          : 0;
-  const double affinity_vs_shared_at_4 =
-      rows[2].shared.ops_per_sec > 0
-          ? rows[2].affinity.ops_per_sec / rows[2].shared.ops_per_sec
-          : 0;
-  const char* note =
-      hw <= 1 ? "single-CPU host: workers and clients timeshare one core, so "
-                "a cross-core forward pays two context switches and can buy "
-                "zero parallelism — multi-worker affinity ratios below 1.0 "
-                "attribute that handoff cost, not the architecture. The "
-                "meaningful single-host signals are the 1-worker cells "
-                "(affinity == shared modulo noise: partitions=1 routes "
-                "everything inline) and the unchanged shared-mode baseline. "
-                "Rerun on a multicore host for the scaling claim (CI runs "
-                "with IQ_BENCH_TPC_ASSERT=1)."
-              : "";
-  if (note[0] != '\0') std::printf("\n  note: %s\n", note);
+  const double mixed_ops =
+      RunCell(max_workers, max_workers, /*mixed=*/true, seconds);
+  std::printf("  mixed (set + multi-get slices), %d workers: %.0f ops/s\n",
+              max_workers, mixed_ops);
 
   const char* out_path = std::getenv("IQ_BENCH_TPC_OUT");
   if (out_path == nullptr) out_path = "BENCH_tpc.json";
@@ -235,68 +154,27 @@ int main() {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_tpc\",\n"
+               "  \"git_sha\": \"%s\",\n"
+               "  \"hardware_concurrency\": %u,\n"
                "  \"keys\": %d,\n"
                "  \"value_bytes\": %d,\n"
                "  \"pipeline_depth\": %d,\n"
                "  \"window_seconds\": %.2f,\n"
-               "  \"hardware_concurrency\": %u,\n"
                "  \"iqget_hit_cells\": [\n",
-               kKeys, kValueBytes, kPipelineDepth, seconds, hw);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"workers\": %d, \"shared_ops_per_sec\": %.0f, "
-        "\"affinity_ops_per_sec\": %.0f, \"affinity_forwards\": %llu, "
-        "\"affinity_inline\": %llu, \"affinity_fallbacks\": %llu}%s\n",
-        r.workers, r.shared.ops_per_sec, r.affinity.ops_per_sec,
-        static_cast<unsigned long long>(r.affinity.forwards),
-        static_cast<unsigned long long>(r.affinity.inline_ops),
-        static_cast<unsigned long long>(r.affinity.fallbacks),
-        i + 1 < rows.size() ? "," : "");
+               iq::bench::SourceRevision().c_str(), hw, kKeys, kValueBytes,
+               kPipelineDepth, seconds);
+  for (std::size_t i = 0; i < hit_ops.size(); ++i) {
+    std::fprintf(f, "    {\"workers\": %d, \"ops_per_sec\": %.0f}%s\n",
+                 worker_counts[i], hit_ops[i],
+                 i + 1 < hit_ops.size() ? "," : "");
   }
   std::fprintf(f,
                "  ],\n"
-               "  \"mixed_cells\": {\"workers\": %d, "
-               "\"shared_ops_per_sec\": %.0f, "
-               "\"affinity_ops_per_sec\": %.0f, "
-               "\"affinity_fallbacks\": %llu},\n"
-               "  \"affinity_scaling_4_workers_vs_1\": %.2f,\n"
-               "  \"affinity_vs_shared_at_4_workers\": %.2f,\n"
-               "  \"note\": \"%s\"\n"
+               "  \"mixed_cell\": {\"workers\": %d, \"ops_per_sec\": %.0f},\n"
+               "  \"scaling_4_workers_vs_1\": %.2f\n"
                "}\n",
-               max_workers, mixed_shared.ops_per_sec,
-               mixed_affinity.ops_per_sec,
-               static_cast<unsigned long long>(mixed_affinity.fallbacks),
-               affinity_scaling_4_vs_1, affinity_vs_shared_at_4, note);
+               max_workers, mixed_ops, scaling);
   std::fclose(f);
   std::printf("  wrote %s\n", out_path);
-
-  if (assert_scaling) {
-    if (hw <= 1) {
-      std::printf("  assert: skipped (hardware_concurrency <= 1)\n");
-      return 0;
-    }
-    // Conservative floors — the claim is "the architecture helps and
-    // scales", not a specific speedup on unknown CI silicon.
-    bool ok = true;
-    if (affinity_scaling_4_vs_1 < 1.1) {
-      std::fprintf(stderr,
-                   "bench_tpc: FAIL affinity 4-vs-1 worker scaling %.2f < "
-                   "1.1\n",
-                   affinity_scaling_4_vs_1);
-      ok = false;
-    }
-    if (affinity_vs_shared_at_4 < 0.8) {
-      std::fprintf(stderr,
-                   "bench_tpc: FAIL affinity/shared at 4 workers %.2f < "
-                   "0.8\n",
-                   affinity_vs_shared_at_4);
-      ok = false;
-    }
-    if (!ok) return 1;
-    std::printf("  assert: ok (scaling %.2f, mode ratio %.2f)\n",
-                affinity_scaling_4_vs_1, affinity_vs_shared_at_4);
-  }
   return 0;
 }

@@ -223,9 +223,10 @@ void IQSession::DropLease(std::string_view key) {
   q_tokens_.erase(std::string(key));
 }
 
-void IQSession::Backoff() {
-  SleepFor(client_.backend_.clock(),
-           client_.backoff_->DelayFor(backoff_attempt_++, rng_));
+Nanos IQSession::Backoff() {
+  Nanos delay = client_.backoff_->DelayFor(backoff_attempt_++, rng_);
+  SleepFor(client_.backend_.clock(), delay);
+  return delay;
 }
 
 }  // namespace iq

@@ -125,8 +125,9 @@ class IQSession {
   void Abort();
 
   /// Sleep per the client's back-off policy; increments the attempt counter
-  /// so repeated calls wait longer. Reset by Commit/Abort.
-  void Backoff();
+  /// so repeated calls wait longer. Reset by Commit/Abort. Returns the delay
+  /// drawn (the requested sleep, not the measured one).
+  Nanos Backoff();
 
   /// Reset the back-off escalation to base delay. Commit/Abort do this
   /// implicitly; callers that recycle a session across logical restarts

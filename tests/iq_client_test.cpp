@@ -228,17 +228,17 @@ TEST_F(IQClientTest, RestartedSessionBackoffResetsToBase) {
   auto s = client.NewSession();
   for (int i = 0; i < 12; ++i) s->Backoff();
   EXPECT_EQ(s->backoff_attempt(), 12);
-  // Fully escalated: the next wait is at least cap/2 (the jitter floor).
-  Nanos t0 = server_.clock().Now();
-  s->Backoff();
-  EXPECT_GE(server_.clock().Now() - t0, 5 * kNanosPerMilli);
-  // A restarted session resets to base delay: its first backoff must be
-  // far below the escalated wait, not stuck at the cap.
+  // Fully escalated: the next delay is the cap with +/-50% jitter.
+  Nanos escalated = s->Backoff();
+  EXPECT_GE(escalated, cfg.backoff_cap / 2);
+  EXPECT_LE(escalated, cfg.backoff_cap + cfg.backoff_cap / 2);
+  // A restarted session resets to base delay: its first backoff is the
+  // base with jitter, not stuck at the cap.
   s->ResetBackoff();
   EXPECT_EQ(s->backoff_attempt(), 0);
-  t0 = server_.clock().Now();
-  s->Backoff();
-  EXPECT_LT(server_.clock().Now() - t0, 5 * kNanosPerMilli);
+  Nanos reset = s->Backoff();
+  EXPECT_GE(reset, cfg.backoff_base / 2);
+  EXPECT_LE(reset, cfg.backoff_base + cfg.backoff_base / 2);
   EXPECT_EQ(s->backoff_attempt(), 1);
 }
 
@@ -247,8 +247,8 @@ TEST_F(IQClientTest, FixedBackoffConfigSupported) {
   cfg.exponential_backoff = false;
   IQClient fixed_client(server_, cfg);
   auto s = fixed_client.NewSession();
-  s->Backoff();  // exercises the FixedBackoff path
-  SUCCEED();
+  // FixedBackoff waits the base delay on every attempt, unjittered.
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(s->Backoff(), cfg.backoff_base);
 }
 
 }  // namespace

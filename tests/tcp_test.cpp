@@ -18,7 +18,6 @@
 
 #include "core/iq_client.h"
 #include "core/iq_server.h"
-#include "core/partition.h"
 #include "net/channel.h"
 #include "net/remote_backend.h"
 #include "net/tcp_channel.h"
@@ -498,134 +497,39 @@ TEST_F(TcpServerTest, StopIsIdempotentAndDropsConnections) {
   EXPECT_EQ(tcp_->Stats().conn_active, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Shard-affinity (thread-per-core) mode — DESIGN.md §4.7.
-// ---------------------------------------------------------------------------
-
-TEST(ShardPartitionTest, OwnershipIsTotalStableArithmetic) {
-  ShardPartition p(/*shard_count=*/16, /*partitions=*/4);
-  EXPECT_EQ(p.shard_count(), 16u);
-  EXPECT_EQ(p.partitions(), 4u);
-  for (std::size_t shard = 0; shard < 16; ++shard) {
-    EXPECT_EQ(p.OwnerOfShard(shard), shard % 4);
-    EXPECT_TRUE(p.Owns(shard % 4, shard));
-    EXPECT_FALSE(p.Owns((shard + 1) % 4, shard));
-  }
-  // OwnerOfHash must agree with the store's own shard placement.
-  for (std::uint64_t h : {0ull, 1ull, 15ull, 16ull, 12345678901234ull}) {
-    EXPECT_EQ(p.OwnerOfHash(h), p.OwnerOfShard(h % 16));
-  }
-  EXPECT_EQ(p.HomeOfSession(7), 7u % 4);
-}
-
-TEST(ShardPartitionTest, PartitionCountIsClampedToShardCount) {
-  // More partitions than shards would leave workers owning nothing.
-  EXPECT_EQ(ShardPartition(4, 64).partitions(), 4u);
-  EXPECT_EQ(ShardPartition(4, 0).partitions(), 1u);
-  EXPECT_EQ(ShardPartition(0, 0).shard_count(), 1u);  // degenerate but total
-}
-
-/// TcpServerTest with affinity mode on and enough workers that the 16-shard
-/// store splits into 4 partitions — most of a connection's requests are
-/// cross-core forwards.
-class AffinityServerTest : public TcpServerTest {
+/// TcpServerTest with four workers, so concurrent connections really run
+/// on different threads against the shared store.
+class FourWorkerServerTest : public TcpServerTest {
  protected:
   void SetUp() override {
     TcpServer::Config cfg;
     cfg.workers = 4;
-    cfg.affinity = true;
     tcp_ = std::make_unique<TcpServer>(server_, cfg);
     std::string error;
     ASSERT_TRUE(tcp_->Start(&error)) << error;
   }
 
-  std::size_t OwnerOf(const std::string& key) const {
-    return tcp_->partition().OwnerOfHash(CacheStore::HashKey(key));
-  }
-
-  /// Keys covering every partition at least `per_owner` times, so a
-  /// pipelined burst is guaranteed to mix own-shard and cross-shard work no
-  /// matter which worker the connection landed on.
-  std::vector<std::string> KeysSpanningOwners(std::size_t per_owner) {
-    std::vector<std::size_t> seen(tcp_->partition().partitions(), 0);
+  /// `per_shard` keys on each of the store's shards, so one burst or one
+  /// session touches every shard lock.
+  std::vector<std::string> KeysSpanningShards(std::size_t per_shard) {
+    const CacheStore& store = server_.store();
+    std::vector<std::size_t> seen(store.shard_count(), 0);
     std::vector<std::string> keys;
-    for (int i = 0; keys.size() < seen.size() * per_owner; ++i) {
+    for (int i = 0; keys.size() < seen.size() * per_shard; ++i) {
       std::string key = "span:" + std::to_string(i);
-      if (seen[OwnerOf(key)] >= per_owner) continue;
-      ++seen[OwnerOf(key)];
+      std::size_t shard = store.ShardIndexFor(key);
+      if (seen[shard] >= per_shard) continue;
+      ++seen[shard];
       keys.push_back(std::move(key));
     }
     return keys;
   }
 };
 
-TEST_F(AffinityServerTest, MixedOwnerPipelineDrainsInOrder) {
-  auto channel = Connect();
-  std::vector<std::string> keys = KeysSpanningOwners(8);  // 32 keys, 4 owners
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    Request r;
-    r.command = Command::kSet;
-    r.key = keys[i];
-    r.data = std::to_string(i);
-    channel->SendNoWait(r);
-  }
-  ASSERT_TRUE(channel->Flush());
-  std::vector<Response> stored = channel->Drain();
-  ASSERT_EQ(stored.size(), keys.size());
-  for (const Response& r : stored) EXPECT_EQ(r.type, ResponseType::kStored);
-
-  for (const std::string& key : keys) {
-    Request r;
-    r.command = Command::kGet;
-    r.key = key;
-    channel->SendNoWait(r);
-  }
-  ASSERT_TRUE(channel->Flush());
-  std::vector<Response> got = channel->Drain();
-  ASSERT_EQ(got.size(), keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(got[i].data, std::to_string(i))
-        << "response order must match request order across owners";
-  }
-  // The burst really did exercise the mailbox path.
-  TcpServerStats s = tcp_->Stats();
-  EXPECT_GT(s.affinity_forwards, 0u);
-  EXPECT_EQ(s.affinity_forwards + s.affinity_inline + s.affinity_fallbacks,
-            s.requests);
-}
-
-TEST_F(AffinityServerTest, RawSliveredBurstWithControlCommandsStaysInOrder) {
-  // The shared-mode byte-boundary test, now crossing cores: single-key sets
-  // and gets (kKey, forwarded by owner) interleaved with a multi-key get
-  // (kControl, forwarded to partition 0) must still come back in exactly
-  // the pipelined order.
-  int fd = RawConnect();
-  std::string burst =
-      "set a 0 0 1\r\nx\r\n"
-      "set b 0 0 1\r\ny\r\n"
-      "get a b\r\n"
-      "get missing\r\n"
-      "incr z 1\r\n";
-  for (std::size_t off = 0; off < burst.size(); off += 3) {
-    std::string piece = burst.substr(off, 3);
-    ASSERT_EQ(::write(fd, piece.data(), piece.size()),
-              static_cast<ssize_t>(piece.size()));
-    if (off % 9 == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  std::string reply = ReadUntil(fd, "NOT_FOUND\r\n");
-  EXPECT_NE(reply.find("STORED\r\nSTORED\r\n"), std::string::npos);
-  EXPECT_NE(reply.find("VALUE a 0 1\r\nx\r\nVALUE b 0 1\r\ny\r\nEND\r\n"),
-            std::string::npos);
-  EXPECT_NE(reply.find("END\r\nEND\r\nNOT_FOUND\r\n"), std::string::npos);
-  ::close(fd);
-}
-
-TEST_F(AffinityServerTest, QuitAfterCrossShardBatchAnswersEverythingFirst) {
-  // quit arrives pipelined behind 32 forwarded gets: the connection must
-  // linger until every reserved slot completes and flushes, then FIN.
-  std::vector<std::string> keys = KeysSpanningOwners(8);
+TEST_F(FourWorkerServerTest, QuitAfterPipelinedBatchAnswersEverythingFirst) {
+  // quit arrives pipelined behind 32 gets (two per shard): the connection
+  // must linger until every reply has flushed, and only then FIN.
+  std::vector<std::string> keys = KeysSpanningShards(2);
   int fd = RawConnect();
   std::string burst;
   for (const std::string& key : keys) burst += "get " + key + "\r\n";
@@ -649,11 +553,10 @@ TEST_F(AffinityServerTest, QuitAfterCrossShardBatchAnswersEverythingFirst) {
   EXPECT_TRUE(Eventually([this] { return tcp_->Stats().conn_active == 0; }));
 }
 
-TEST_F(AffinityServerTest, CrossOwnerSessionCommitReleasesAllLeases) {
-  // One session quarantines keys owned by every partition, then commits on
-  // its home worker: the fan-out must delete all of them and leave no lease
-  // behind, regardless of which core owns which shard.
-  std::vector<std::string> keys = KeysSpanningOwners(2);
+TEST_F(FourWorkerServerTest, MultiShardSessionCommitReleasesAllLeases) {
+  // One session quarantines keys on every shard, then commits over TCP: the
+  // fan-out must delete all of them and leave no lease behind.
+  std::vector<std::string> keys = KeysSpanningShards(2);
   auto channel = Connect();
   RemoteCacheClient client(*channel);
   for (const std::string& key : keys) {
@@ -670,117 +573,17 @@ TEST_F(AffinityServerTest, CrossOwnerSessionCommitReleasesAllLeases) {
   EXPECT_EQ(server_.LeaseCount(), 0u);
 }
 
-TEST_F(AffinityServerTest, ConcurrentConnectionsKeepExactCounterBalance) {
-  // The shared-mode acceptance gauntlet, re-run with every command crossing
-  // cores: committed increments must still land exactly once.
-  {
-    auto setup = Connect();
-    RemoteCacheClient client(*setup);
-    client.Set("n", "0");
-  }
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 40;
-  std::atomic<int> committed{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([this, &committed] {
-      auto channel = Connect();
-      ASSERT_NE(channel, nullptr);
-      RemoteCacheClient client(*channel);
-      for (int i = 0; i < kIncrements; ++i) {
-        SessionId session = client.GenID();
-        QaReadReply q = client.QaRead("n", session);
-        if (q.status != QaReadReply::Status::kGranted) {
-          client.Abort(session);
-          --i;  // retry
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-          continue;
-        }
-        std::string next = std::to_string(std::stoll(*q.value) + 1);
-        client.SaR("n", std::optional<std::string>(next), q.token);
-        committed.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  auto channel = Connect();
-  RemoteCacheClient check(*channel);
-  EXPECT_EQ(check.Get("n")->value, std::to_string(committed.load()));
-  EXPECT_EQ(committed.load(), kThreads * kIncrements);
-  EXPECT_EQ(server_.LeaseCount(), 0u);
-}
-
-TEST_F(AffinityServerTest, StatsExposeAffinityCounters) {
-  auto channel = Connect();
-  RemoteCacheClient client(*channel);
-  for (const std::string& key : KeysSpanningOwners(2)) client.Set(key, "v");
-  std::string stats = client.Stats();
-  EXPECT_NE(stats.find("STAT affinity_mode 1"), std::string::npos);
-  for (const char* name : {"STAT affinity_forwards ", "STAT affinity_inline ",
-                           "STAT affinity_fallbacks "}) {
-    EXPECT_NE(stats.find(name), std::string::npos) << name;
-  }
-  TcpServerStats s = tcp_->Stats();
-  EXPECT_GT(s.affinity_forwards, 0u);
-  EXPECT_EQ(s.affinity_forwards + s.affinity_inline + s.affinity_fallbacks,
-            s.requests);
-}
-
-TEST(AffinityDegradation, TinyMailboxStillAnswersEverythingInOrder) {
-  // mailbox_capacity=1 makes most cross-core forwards bounce to the inline
-  // fallback path mid-burst: correctness (order, completeness) must be
-  // identical, only the execution placement degrades.
-  IQServer server;
-  TcpServer::Config cfg;
-  cfg.workers = 4;
-  cfg.affinity = true;
-  cfg.mailbox_capacity = 1;
-  TcpServer tcp(server, cfg);
-  std::string error;
-  ASSERT_TRUE(tcp.Start(&error)) << error;
-
-  std::string perr;
-  auto ch = TcpChannel::Connect("127.0.0.1", tcp.port(), &perr);
-  ASSERT_NE(ch, nullptr) << perr;
-  constexpr int kBatch = 200;
-  for (int i = 0; i < kBatch; ++i) {
-    Request r;
-    r.command = Command::kSet;
-    r.key = "m:" + std::to_string(i);
-    r.data = std::to_string(i);
-    ch->SendNoWait(r);
-  }
-  ASSERT_TRUE(ch->Flush());
-  ASSERT_EQ(ch->Drain().size(), static_cast<std::size_t>(kBatch));
-  for (int i = 0; i < kBatch; ++i) {
-    Request r;
-    r.command = Command::kGet;
-    r.key = "m:" + std::to_string(i);
-    ch->SendNoWait(r);
-  }
-  ASSERT_TRUE(ch->Flush());
-  std::vector<Response> got = ch->Drain();
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kBatch));
-  for (int i = 0; i < kBatch; ++i) {
-    EXPECT_EQ(got[static_cast<std::size_t>(i)].data, std::to_string(i));
-  }
-  TcpServerStats s = tcp.Stats();
-  EXPECT_EQ(s.affinity_forwards + s.affinity_inline + s.affinity_fallbacks,
-            s.requests);
-}
-
 // ---- the prefetch window changes no reply ---------------------------------
 
 /// A fresh server (its own IQServer, so token and cas counters restart)
 /// with w0..w19 stored, reachable over raw sockets.
 struct TranscriptServer {
-  explicit TranscriptServer(bool affinity) {
+  TranscriptServer() {
     for (int i = 0; i < 20; ++i) {
       iq.store().Set("w" + std::to_string(i), "v" + std::to_string(i));
     }
     TcpServer::Config cfg;
-    cfg.workers = affinity ? 4 : 2;
-    cfg.affinity = affinity;
+    cfg.workers = 2;
     tcp = std::make_unique<TcpServer>(iq, cfg);
     std::string error;
     EXPECT_TRUE(tcp->Start(&error)) << error;
@@ -804,10 +607,9 @@ struct TranscriptServer {
 };
 
 /// 40 requests ending in quit: get, gets, iqget (hits and one miss), set,
-/// multi-key get, a malformed line and an oversized payload claim. Replies
-/// must not depend on how affinity mode interleaves owners, so `gets` (which
-/// shows cas) only reads keys the burst never writes, and only one request
-/// draws a lease token.
+/// multi-key get, a malformed line and an oversized payload claim. `gets`
+/// (which shows cas) only reads keys the burst never writes, and only one
+/// request draws a lease token.
 std::vector<std::string> TranscriptRequests() {
   std::vector<std::string> reqs;
   for (int i = 0; reqs.size() < 39; ++i) {
@@ -844,8 +646,8 @@ std::vector<std::string> TranscriptRequests() {
 
 /// Each request written alone and its one reply read before the next; quit
 /// draws none. Returns every reply byte in order.
-std::string OneAtATime(const std::vector<std::string>& reqs, bool affinity) {
-  TranscriptServer srv(affinity);
+std::string OneAtATime(const std::vector<std::string>& reqs) {
+  TranscriptServer srv;
   int fd = srv.Connect();
   std::string replies;
   std::string pending;
@@ -876,11 +678,11 @@ std::string OneAtATime(const std::vector<std::string>& reqs, bool affinity) {
 /// The whole burst pipelined, written in pieces that end at `cuts` (byte
 /// offsets), with a pause after each so the server reads them separately.
 /// Returns everything the server sent before its FIN.
-std::string Pipelined(const std::vector<std::string>& reqs, bool affinity,
+std::string Pipelined(const std::vector<std::string>& reqs,
                       const std::vector<std::size_t>& cuts) {
   std::string burst;
   for (const std::string& req : reqs) burst += req;
-  TranscriptServer srv(affinity);
+  TranscriptServer srv;
   int fd = srv.Connect();
   std::size_t at = 0;
   for (std::size_t cut : cuts) {
@@ -900,27 +702,23 @@ std::string Pipelined(const std::vector<std::string>& reqs, bool affinity,
   return all;
 }
 
-class PrefetchWindowTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PrefetchWindowTest, PipelinedBurstRepliesMatchOneAtATime) {
-  const bool affinity = GetParam();
+TEST(PrefetchWindowTest, PipelinedBurstRepliesMatchOneAtATime) {
   const std::vector<std::string> reqs = TranscriptRequests();
   ASSERT_EQ(reqs.size(), 40u);
-  const std::string want = OneAtATime(reqs, affinity);
+  const std::string want = OneAtATime(reqs);
   std::size_t left = 0;
   ASSERT_EQ(ParseAll(want, &left).size(), 39u);
   EXPECT_EQ(left, 0u);
   EXPECT_NE(want.find("CLIENT_ERROR"), std::string::npos);
   EXPECT_NE(want.find("MISS_TOKEN"), std::string::npos);
-  EXPECT_EQ(Pipelined(reqs, affinity, {}), want);
+  EXPECT_EQ(Pipelined(reqs, {}), want);
 }
 
-TEST_P(PrefetchWindowTest, WindowWhoseLastRequestIsSplitAcrossReads) {
+TEST(PrefetchWindowTest, WindowWhoseLastRequestIsSplitAcrossReads) {
   // The first window is the first request plus the 15 buffered behind it.
   // Cut the burst inside the window's last request, and again inside a
   // later set's payload: the first read frames a short window, and the
   // request completes only in a later read.
-  const bool affinity = GetParam();
   const std::vector<std::string> reqs = TranscriptRequests();
   std::size_t window_end = 0;  // offset of request 16's first byte
   for (std::size_t i = 0; i < CacheStore::kPrefetchWindow; ++i) {
@@ -931,15 +729,8 @@ TEST_P(PrefetchWindowTest, WindowWhoseLastRequestIsSplitAcrossReads) {
   std::size_t i = CacheStore::kPrefetchWindow;
   for (; reqs[i].rfind("set s", 0) != 0; ++i) set_at += reqs[i].size();
   const std::size_t mid_payload = set_at + reqs[i].size() - 4;
-  EXPECT_EQ(Pipelined(reqs, affinity, {mid_last, mid_payload}),
-            OneAtATime(reqs, affinity));
+  EXPECT_EQ(Pipelined(reqs, {mid_last, mid_payload}), OneAtATime(reqs));
 }
-
-INSTANTIATE_TEST_SUITE_P(SharedAndAffinity, PrefetchWindowTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Affinity" : "Shared";
-                         });
 
 }  // namespace
 }  // namespace iq::net
