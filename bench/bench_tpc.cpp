@@ -3,11 +3,13 @@
 // N pipelined client connections issuing IQget hits over loopback, and
 // measures aggregate responses/sec. A mixed cell at the largest worker count
 // adds sets and multi-key gets, so writes and multi-shard reads contend with
-// the hit path.
+// the hit path. Every cell runs kRounds times back to back and records the
+// median with its min and max: single runs on a shared host move by 2x.
 //
 // Environment:
-//   IQ_BENCH_SECONDS      measurement window per cell in seconds (default 1.0)
+//   IQ_BENCH_SECONDS      measurement window per run in seconds (default 1.0)
 //   IQ_BENCH_TPC_OUT      JSON artifact path (default BENCH_tpc.json)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -29,6 +31,7 @@ using Clock = std::chrono::steady_clock;
 constexpr int kKeys = 256;
 constexpr int kValueBytes = 64;
 constexpr int kPipelineDepth = 64;
+constexpr int kRounds = 5;
 
 /// One cell: `clients` pipelined connections of IQget hits (plus a set /
 /// multi-get slice when `mixed`) against a fresh server. Returns ops/s.
@@ -115,6 +118,29 @@ double RunCell(int workers, int clients, bool mixed, double seconds) {
   return elapsed > 0 ? static_cast<double>(total.load()) / elapsed : 0;
 }
 
+/// A cell's ops/s over kRounds runs.
+struct CellStats {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+CellStats RunRounds(int workers, int clients, bool mixed, double seconds) {
+  std::vector<double> runs;
+  for (int r = 0; r < kRounds; ++r) {
+    runs.push_back(RunCell(workers, clients, mixed, seconds));
+  }
+  std::sort(runs.begin(), runs.end());
+  return {runs[kRounds / 2], runs.front(), runs.back()};
+}
+
+void PrintCell(FILE* f, const char* indent, int workers, const CellStats& c) {
+  std::fprintf(f,
+               "%s{\"workers\": %d, \"ops_per_sec\": %.0f, "
+               "\"min_ops_per_sec\": %.0f, \"max_ops_per_sec\": %.0f}",
+               indent, workers, c.median, c.min, c.max);
+}
+
 }  // namespace
 
 int main() {
@@ -123,26 +149,30 @@ int main() {
   const int worker_counts[] = {1, 2, 4};
 
   std::printf("bench_tpc: pipelined IQget hits over loopback, depth %d, "
-              "%d keys x %d-byte values, %.1fs per cell, %u hardware "
-              "threads\n\n",
-              kPipelineDepth, kKeys, kValueBytes, seconds, hw);
+              "%d keys x %d-byte values, %.1fs per run, %d runs per cell, "
+              "%u hardware threads\n\n",
+              kPipelineDepth, kKeys, kValueBytes, seconds, kRounds, hw);
 
-  std::vector<double> hit_ops;
-  std::printf("  %-8s %16s\n", "workers", "ops/s");
+  std::vector<CellStats> hit_ops;
+  std::printf("  %-8s %16s %16s %16s\n", "workers", "median ops/s", "min",
+              "max");
   for (int w : worker_counts) {
     // One client connection per worker, so every worker has traffic.
-    hit_ops.push_back(RunCell(w, /*clients=*/w, /*mixed=*/false, seconds));
-    std::printf("  %-8d %16.0f\n", w, hit_ops.back());
+    hit_ops.push_back(RunRounds(w, /*clients=*/w, /*mixed=*/false, seconds));
+    std::printf("  %-8d %16.0f %16.0f %16.0f\n", w, hit_ops.back().median,
+                hit_ops.back().min, hit_ops.back().max);
   }
-  const double scaling = hit_ops[0] > 0 ? hit_ops[2] / hit_ops[0] : 0;
-  std::printf("\n  %d-vs-1 worker scaling: %.2fx\n", worker_counts[2],
-              scaling);
+  const double scaling =
+      hit_ops[0].median > 0 ? hit_ops[2].median / hit_ops[0].median : 0;
+  std::printf("\n  %d-vs-1 worker scaling (ratio of medians): %.2fx\n",
+              worker_counts[2], scaling);
 
   const int max_workers = worker_counts[2];
-  const double mixed_ops =
-      RunCell(max_workers, max_workers, /*mixed=*/true, seconds);
-  std::printf("  mixed (set + multi-get slices), %d workers: %.0f ops/s\n",
-              max_workers, mixed_ops);
+  const CellStats mixed =
+      RunRounds(max_workers, max_workers, /*mixed=*/true, seconds);
+  std::printf("  mixed (set + multi-get slices), %d workers: median %.0f "
+              "ops/s (min %.0f, max %.0f)\n",
+              max_workers, mixed.median, mixed.min, mixed.max);
 
   const char* out_path = std::getenv("IQ_BENCH_TPC_OUT");
   if (out_path == nullptr) out_path = "BENCH_tpc.json";
@@ -160,20 +190,21 @@ int main() {
                "  \"value_bytes\": %d,\n"
                "  \"pipeline_depth\": %d,\n"
                "  \"window_seconds\": %.2f,\n"
+               "  \"rounds_per_cell\": %d,\n"
                "  \"iqget_hit_cells\": [\n",
                iq::bench::SourceRevision().c_str(), hw, kKeys, kValueBytes,
-               kPipelineDepth, seconds);
+               kPipelineDepth, seconds, kRounds);
   for (std::size_t i = 0; i < hit_ops.size(); ++i) {
-    std::fprintf(f, "    {\"workers\": %d, \"ops_per_sec\": %.0f}%s\n",
-                 worker_counts[i], hit_ops[i],
-                 i + 1 < hit_ops.size() ? "," : "");
+    PrintCell(f, "    ", worker_counts[i], hit_ops[i]);
+    std::fprintf(f, "%s\n", i + 1 < hit_ops.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"mixed_cell\": ");
+  PrintCell(f, "", max_workers, mixed);
   std::fprintf(f,
-               "  ],\n"
-               "  \"mixed_cell\": {\"workers\": %d, \"ops_per_sec\": %.0f},\n"
+               ",\n"
                "  \"scaling_4_workers_vs_1\": %.2f\n"
                "}\n",
-               max_workers, mixed_ops, scaling);
+               scaling);
   std::fclose(f);
   std::printf("  wrote %s\n", out_path);
   return 0;

@@ -90,7 +90,7 @@ void CasqlConnection::MaybeAudit(const std::string& key,
   const CasqlConfig& cfg = system_.config_;
   if (cfg.audit_rate <= 0 || !audit_rng_.NextBool(cfg.audit_rate)) return;
   if (cfg.consistency == Consistency::kIQ) {
-    // Serialize against writers: a granted Q(refresh) lease proves no write
+    // Serialize against writers: while a Q(refresh) lease holds, no write
     // session is in flight on this key, so strong consistency demands the
     // value under the lease equal the RDBMS ground truth right now. The
     // just-observed hit value is NOT the comparand — a writer may have
@@ -108,10 +108,17 @@ void CasqlConnection::MaybeAudit(const std::string& key,
     }
     std::optional<std::string> truth = ComputeFresh(compute);
     LogOp(check::OpKind::kReadDb, key, truth);
+    // Release, leaving the value in place. The lease must still have held
+    // after the ground-truth read: an invalidating writer's QaReg voids a
+    // Q(refresh) lease (invalidation wins), then commits and deletes, so a
+    // voided lease proves nothing about what the RDBMS read saw.
+    if (session_->SaR(key, std::nullopt) != StoreResult::kStored) {
+      system_.audit_skipped_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
     // A KVS miss under the lease is never stale (the KVS is a subset of the
     // RDBMS); a present value disagreeing with the ground truth is.
     bool stale = current && (!truth || *truth != *current);
-    session_->SaR(key, std::nullopt);  // release, leave the value in place
     system_.audit_samples_.fetch_add(1, std::memory_order_relaxed);
     if (near_hit && observed && (!truth || *truth != *observed)) {
       // A hit served from the client's near cache may trail the serialized
@@ -357,6 +364,16 @@ WriteOutcome CasqlConnection::WriteBaseline(const WriteSpec& spec) {
 
 namespace {
 
+/// Whether an IQ write under `technique` must quarantine `u` (QaReg, the
+/// key deleted at commit) instead of refreshing or delta-updating it: the
+/// update asks for invalidation, or carries no rule for the technique.
+/// Deleting is always safe; skipping the key would leave its cached value
+/// stale after the RDBMS commit.
+bool Quarantines(const KeyUpdate& u, Technique technique) {
+  return u.invalidate ||
+         (technique == Technique::kRefresh ? !u.refresh : !u.delta);
+}
+
 /// Bump the matching restart counter for a failed quarantine/lease request.
 void CountRestart(ClientQResult r, WriteOutcome* out) {
   if (r == ClientQResult::kQConflict) {
@@ -438,6 +455,10 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
   WriteOutcome out;
   const CasqlConfig& cfg = system_.config_;
   const std::size_t n = spec.updates.size();
+  std::vector<bool> quarantined(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    quarantined[i] = Quarantines(spec.updates[i], Technique::kRefresh);
+  }
   for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
     std::vector<std::optional<std::string>> olds(n);
     std::vector<std::optional<std::string>> news(n);
@@ -460,11 +481,10 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
 
     ClientQResult q = ClientQResult::kGranted;
     for (std::size_t i = 0; i < n; ++i) {
-      q = spec.updates[i].invalidate
-              ? session_->Quarantine(spec.updates[i].key)
-              : session_->QaRead(spec.updates[i].key, olds[i]);
+      q = quarantined[i] ? session_->Quarantine(spec.updates[i].key)
+                         : session_->QaRead(spec.updates[i].key, olds[i]);
       if (q != ClientQResult::kGranted) break;
-      if (spec.updates[i].invalidate) {
+      if (quarantined[i]) {
         LogKeyOp(check::OpKind::kInval, spec.updates[i].key);
       } else {
         LogOp(olds[i] ? check::OpKind::kReadHit : check::OpKind::kReadMiss,
@@ -484,9 +504,7 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
       continue;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      if (spec.updates[i].invalidate) continue;
-      news[i] = spec.updates[i].refresh ? spec.updates[i].refresh(olds[i])
-                                        : std::nullopt;
+      if (!quarantined[i]) news[i] = spec.updates[i].refresh(olds[i]);
     }
 
     if (cfg.placement == LeasePlacement::kPriorToTxn) {
@@ -509,7 +527,7 @@ WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
     // Q lease, and an unreleased Q lease expires server-side and deletes
     // the key — stale values cannot survive a lost SaR/Commit.
     for (std::size_t i = 0; i < n; ++i) {
-      if (spec.updates[i].invalidate) continue;
+      if (quarantined[i]) continue;
       auto v = news[i] ? std::optional<std::string_view>(*news[i])
                        : std::nullopt;
       // Write intent BEFORE the install (check/oplog.h soundness rule).
@@ -546,18 +564,16 @@ WriteOutcome CasqlConnection::WriteIQIncremental(const WriteSpec& spec) {
 
     ClientQResult q = ClientQResult::kGranted;
     for (const auto& u : spec.updates) {
-      if (u.invalidate) {
+      if (Quarantines(u, Technique::kIncremental)) {
         q = session_->Quarantine(u.key);
         if (q == ClientQResult::kGranted) {
           LogKeyOp(check::OpKind::kInval, u.key);
         }
-      } else if (u.delta) {
+      } else {
         q = session_->Delta(u.key, *u.delta);
         if (q == ClientQResult::kGranted) {
           LogKeyOp(check::OpKind::kDelta, u.key);
         }
-      } else {
-        continue;
       }
       if (q != ClientQResult::kGranted) break;
     }

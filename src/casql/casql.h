@@ -96,7 +96,9 @@ struct KeyUpdate {
   std::optional<DeltaOp> delta;
   /// Force the invalidate technique for this key even when the session's
   /// technique is refresh/incremental (the paper's mixed-mode support:
-  /// e.g. delta-update a counter key while deleting a list key).
+  /// e.g. delta-update a counter key while deleting a list key). An IQ
+  /// write also invalidates a key whose update has no rule for the session's
+  /// technique (no `refresh` under refresh, no `delta` under incremental).
   bool invalidate = false;
 };
 

@@ -152,13 +152,14 @@ ClientQResult IQSession::QaRead(std::string_view key,
   return ClientQResult::kGranted;
 }
 
-void IQSession::SaR(std::string_view key,
-                    std::optional<std::string_view> v_new) {
+StoreResult IQSession::SaR(std::string_view key,
+                           std::optional<std::string_view> v_new) {
   auto it = q_tokens_.find(std::string(key));
-  if (it == q_tokens_.end()) return;
+  if (it == q_tokens_.end()) return StoreResult::kNotFound;
   NearInvalidate(key);
-  client_.backend_.SaR(key, v_new, it->second);
+  StoreResult r = client_.backend_.SaR(key, v_new, it->second);
   q_tokens_.erase(it);
+  return r;
 }
 
 ClientQResult IQSession::Delta(std::string_view key, DeltaOp delta) {

@@ -103,8 +103,10 @@ class IQSession {
   /// (nullopt on KVS miss) and the Q lease is held until SaR/Commit/Abort.
   ClientQResult QaRead(std::string_view key, std::optional<std::string>& value);
 
-  /// Swap-and-Release for a key previously QaRead by this session.
-  void SaR(std::string_view key, std::optional<std::string_view> v_new);
+  /// Swap-and-Release for a key previously QaRead by this session. Returns
+  /// the server's answer: kStored while the Q lease still held; kNotFound
+  /// when a QaReg voided it or it expired (or the session never held it).
+  StoreResult SaR(std::string_view key, std::optional<std::string_view> v_new);
 
   // ---- write path: incremental update ---------------------------------------
 

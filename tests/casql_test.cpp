@@ -245,6 +245,55 @@ TEST_F(CasqlTest, MixedModeInvalidateFlagDeletesListKey) {
   EXPECT_FALSE(server_.store().Get("List"));          // invalidated
 }
 
+// An update with no rule for the session's technique must not be skipped:
+// the key would keep its pre-commit value. IQ writes quarantine it instead.
+TEST_F(CasqlTest, IncrementalInvalidatesRefreshOnlyUpdate) {
+  CasqlSystem system(db_, server_,
+                     Config(Technique::kIncremental, Consistency::kIQ));
+  auto conn = system.Connect();
+  conn->Read("K", ComputeK());
+  WriteSpec spec = AddSpec(+1);
+  spec.updates[0].delta.reset();
+  EXPECT_TRUE(conn->Write(spec).committed);
+  EXPECT_FALSE(server_.store().Get("K"));
+  EXPECT_EQ(conn->Read("K", ComputeK()).value, "101");
+}
+
+TEST_F(CasqlTest, RefreshInvalidatesDeltaOnlyUpdate) {
+  CasqlSystem system(db_, server_, Config(Technique::kRefresh, Consistency::kIQ));
+  auto conn = system.Connect();
+  conn->Read("K", ComputeK());
+  WriteSpec spec = AddSpec(+1);
+  spec.updates[0].refresh = nullptr;
+  EXPECT_TRUE(conn->Write(spec).committed);
+  EXPECT_FALSE(server_.store().Get("K"));
+  EXPECT_EQ(conn->Read("K", ComputeK()).value, "101");
+}
+
+// An invalidating writer's QaReg voids the auditor's Q(refresh) lease, then
+// commits between the auditor's cache read and its ground-truth read. The
+// lease no longer serializes the two reads, so the audit has no verdict.
+TEST_F(CasqlTest, AuditSkipsWhenAnInvalidatingWriterVoidsItsLease) {
+  CasqlConfig cfg = Config(Technique::kInvalidate, Consistency::kIQ);
+  cfg.audit_rate = 1.0;
+  CasqlSystem system(db_, server_, cfg);
+  auto reader = system.Connect();
+  auto writer = system.Connect();
+  bool interleave = false;
+  ComputeFn compute = [&](Transaction& txn) -> std::optional<std::string> {
+    if (!interleave) return ComputeK()(txn);
+    interleave = false;
+    EXPECT_TRUE(writer->Write(AddSpec(+1)).committed);
+    auto fresh = db_.Begin();  // sees the writer's commit
+    return ComputeK()(*fresh);
+  };
+  reader->Read("K", compute);  // miss: installs "100"
+  interleave = true;
+  EXPECT_TRUE(reader->Read("K", compute).hit);  // audited hit
+  EXPECT_EQ(system.audit_stats().stale_reads_detected, 0u);
+  EXPECT_EQ(system.audit_stats().skipped, 1u);
+}
+
 TEST_F(CasqlTest, RdbmsConflictRestartsSession) {
   CasqlSystem system(db_, server_, Config(Technique::kRefresh, Consistency::kIQ));
   auto conn = system.Connect();

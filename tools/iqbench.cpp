@@ -1,4 +1,4 @@
-// iqbench: command-line driver for the BG workload over any client design.
+// iqbench: command-line driver for casql workloads over any client design.
 //
 //   iqbench [--technique=invalidate|refresh|incremental]
 //           [--consistency=none|cas|read-lease|iq]
@@ -8,29 +8,35 @@
 //           [--db-read-us=N] [--db-write-us=N] [--db-commit-us=N]
 //           [--lease-ms=N] [--eager-delete]
 //
-// Prints a one-screen report: throughput, latency percentiles, restart
-// statistics, unpredictable-read percentage, and cache-server counters.
+// In-process mode runs the BG social workload against an IQServer in this
+// process and prints a one-screen report: throughput, latency percentiles,
+// restart statistics, unpredictable-read percentage, and server counters.
 //
-// Remote mode — drive one or more running iqcached instances over TCP
-// instead of an in-process server:
+// Remote mode (--connect=host:port[,host:port,...]) drives running iqcached
+// instances over TCP with the same casql client and the same flags. An
+// in-process sql::Database holds the ground truth: a `ctr` table of
+// counters and a `data` table of read-only rows. Each worker thread binds
+// its own CasqlSystem to its own remote stack (one pipelined connection per
+// endpoint; a ShardedBackend ring over several). A write op increments one
+// counter, or two in one session at --multikey-rate; a read op reads one
+// counter and two data rows. A settle pass at the end increments, reads and
+// raw-gets every counter: each cached value must equal its `ctr` row, or
+// the run fails (exit 1).
 //
-//   iqbench --connect=host:port[,host:port,...] [--threads=N] [--seconds=S]
-//           [--mix=PCT] [--seed=N]
-//
-// With one endpoint each thread opens its own connection; with several, each
-// thread builds its own ChannelPool (one pipelined connection per endpoint)
-// and routes every key through a ShardedBackend consistent-hash ring, so the
-// instances form one sharded cache tier. Reads hit a small keyspace, writes
-// run the full QaRead/SaR refresh protocol against shared counters. At the
-// end the counters must exactly equal the number of committed increments —
-// any lost lease, protocol desync, or mis-routed fan-out fails the run
-// (exit 1).
+// The one hand-issued session sequence is the own-update probe: no casql
+// path re-reads a key under its own Q lease, and iqcheck needs that re-read
+// to see a session lose its own buffered delta (Section 4.2.2). Under
+// --technique=incremental every eighth write op of a worker also runs it.
+#include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <atomic>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -45,8 +51,6 @@
 #include "net/channel_pool.h"
 #include "net/remote_backend.h"
 #include "net/server.h"
-#include "net/tcp_channel.h"
-#include "util/backoff.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 
@@ -82,7 +86,7 @@ struct Options {
   /// how long any request can block on a dead or wedged server.
   int timeout_ms = 2000;
   /// Online staleness audit: fraction of reads re-checked against ground
-  /// truth. Any detected stale read fails the run (exit 1).
+  /// truth. Any detected stale read fails an IQ run (exit 1).
   double audit_rate = 0.0;
   /// Client-side op log for the offline checker (tools/iqcheck): every
   /// client-visible read/write/commit/abort is appended here and dumped to
@@ -98,13 +102,9 @@ struct Options {
   /// 0 = uniform. Hot keys concentrate lease contention for the checker's
   /// scenario matrix (theta 0.99 ~ YCSB's default skew).
   double zipf = 0.0;
-  /// Remote mode: write counters via buffered IQDelta + a re-read under
-  /// the session's own Q lease (the own-update visibility probe,
-  /// Section 4.2.2) instead of the QaRead/SaR refresh path.
-  bool rmw_delta = false;
-  /// Remote mode: fraction of write sessions that update TWO counters
-  /// under one session (two Q leases, one commit) — multi-key sessions
-  /// for the checker's scenario matrix.
+  /// Remote mode: fraction of write sessions that increment TWO counters
+  /// in one session (two leases, one commit) — multi-key sessions for the
+  /// checker's scenario matrix.
   double multikey_rate = 0.0;
 };
 
@@ -115,9 +115,8 @@ bool StartsWith(const char* arg, const char* prefix, const char** value) {
   return true;
 }
 
-[[noreturn]] void Usage(const char* bad) {
-  std::fprintf(stderr, "iqbench: bad argument '%s'\n", bad);
-  std::fprintf(stderr,
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out,
                "usage: iqbench [--technique=invalidate|refresh|incremental]\n"
                "               [--consistency=none|cas|read-lease|iq]\n"
                "               [--placement=prior|inside] [--members=N]\n"
@@ -131,22 +130,59 @@ bool StartsWith(const char* arg, const char* prefix, const char** value) {
                "               [--oplog=FILE] [--trace-out=FILE]\n"
                "               [--trace-capacity=N]\n"
                "       iqbench --connect=host:port[,host:port,...]\n"
-               "               [--threads=N] [--seconds=S] [--mix=PCT]\n"
-               "               [--seed=N] [--timeout-ms=N] [--audit-rate=F]\n"
+               "               [--technique=...] [--consistency=...]\n"
+               "               [--placement=...] [--threads=N] [--seconds=S]\n"
+               "               [--mix=PCT] [--seed=N] [--db-read-us=N]\n"
+               "               [--db-write-us=N] [--db-commit-us=N]\n"
+               "               [--timeout-ms=N] [--audit-rate=F]\n"
                "               [--near-ttl-ms=N] [--near-cap=N]\n"
                "               [--oplog=FILE] [--zipf=THETA]\n"
-               "               [--rmw=sar|delta] [--multikey-rate=F]\n"
-               "(--near-ttl-ms in remote mode requires the server to run with\n"
-               " a matching --near-validity-ms; grants are server-side)\n");
+               "               [--multikey-rate=F]\n"
+               "       iqbench --help\n"
+               "(--threads >= 1, --seconds > 0, --mix in [0,100], rates in\n"
+               " [0,1], --zipf in [0,1), --timeout-ms >= 1; --near-ttl-ms in\n"
+               " remote mode requires the server to run with a matching\n"
+               " --near-validity-ms; grants are server-side)\n");
+}
+
+[[noreturn]] void Usage(const char* bad) {
+  std::fprintf(stderr, "iqbench: bad argument '%s'\n", bad);
+  PrintUsage(stderr);
   std::exit(2);
+}
+
+/// The whole of `v` as an integer in [lo, hi], or exit with the usage.
+long long IntArg(const char* arg, const char* v, long long lo,
+                 long long hi = LLONG_MAX) {
+  char* end = nullptr;
+  errno = 0;
+  long long n = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || n < lo || n > hi) {
+    Usage(arg);
+  }
+  return n;
+}
+
+/// The whole of `v` as a finite number, or exit with the usage; `ok`
+/// checks its range.
+template <typename InRange>
+double RealArg(const char* arg, const char* v, InRange ok) {
+  char* end = nullptr;
+  double x = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !std::isfinite(x) || !ok(x)) Usage(arg);
+  return x;
 }
 
 Options Parse(int argc, char** argv) {
   Options opt;
+  auto rate = [](double x) { return x >= 0 && x <= 1; };
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
     const char* arg = argv[i];
-    if (StartsWith(arg, "--technique=", &v)) {
+    if (std::strcmp(arg, "--help") == 0) {
+      PrintUsage(stdout);
+      std::exit(0);
+    } else if (StartsWith(arg, "--technique=", &v)) {
       if (std::strcmp(v, "invalidate") == 0) {
         opt.technique = casql::Technique::kInvalidate;
       } else if (std::strcmp(v, "refresh") == 0) {
@@ -177,59 +213,51 @@ Options Parse(int argc, char** argv) {
         Usage(arg);
       }
     } else if (StartsWith(arg, "--members=", &v)) {
-      opt.members = std::atoll(v);
+      opt.members = IntArg(arg, v, 1);
     } else if (StartsWith(arg, "--friends=", &v)) {
-      opt.friends = std::atoi(v);
+      opt.friends = static_cast<int>(IntArg(arg, v, 0, INT_MAX));
     } else if (StartsWith(arg, "--threads=", &v)) {
-      opt.threads = std::atoi(v);
+      opt.threads = static_cast<int>(IntArg(arg, v, 1, INT_MAX));
     } else if (StartsWith(arg, "--seconds=", &v)) {
-      opt.seconds = std::atof(v);
+      opt.seconds = RealArg(arg, v, [](double x) { return x > 0; });
     } else if (StartsWith(arg, "--mix=", &v)) {
-      opt.mix = std::atof(v);
+      opt.mix = RealArg(arg, v, [](double x) { return x >= 0 && x <= 100; });
     } else if (StartsWith(arg, "--seed=", &v)) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
+      opt.seed = static_cast<std::uint64_t>(IntArg(arg, v, 0));
     } else if (std::strcmp(arg, "--warm") == 0) {
       opt.warm = true;
     } else if (std::strcmp(arg, "--no-validate") == 0) {
       opt.validate = false;
     } else if (StartsWith(arg, "--db-read-us=", &v)) {
-      opt.db_read = std::atoll(v) * kNanosPerMicro;
+      opt.db_read = IntArg(arg, v, 0, INT_MAX) * kNanosPerMicro;
     } else if (StartsWith(arg, "--db-write-us=", &v)) {
-      opt.db_write = std::atoll(v) * kNanosPerMicro;
+      opt.db_write = IntArg(arg, v, 0, INT_MAX) * kNanosPerMicro;
     } else if (StartsWith(arg, "--db-commit-us=", &v)) {
-      opt.db_commit = std::atoll(v) * kNanosPerMicro;
+      opt.db_commit = IntArg(arg, v, 0, INT_MAX) * kNanosPerMicro;
     } else if (StartsWith(arg, "--lease-ms=", &v)) {
-      opt.lease_lifetime = std::atoll(v) * kNanosPerMilli;
+      opt.lease_lifetime = IntArg(arg, v, 0, INT_MAX) * kNanosPerMilli;
     } else if (std::strcmp(arg, "--eager-delete") == 0) {
       opt.deferred_delete = false;
     } else if (StartsWith(arg, "--near-ttl-ms=", &v)) {
-      opt.near_ttl_ms = std::atoll(v);
+      opt.near_ttl_ms = IntArg(arg, v, 0, INT_MAX);
     } else if (StartsWith(arg, "--near-cap=", &v)) {
-      opt.near_cap = static_cast<std::size_t>(std::atoll(v));
+      opt.near_cap = static_cast<std::size_t>(IntArg(arg, v, 0));
     } else if (StartsWith(arg, "--connect=", &v)) {
       opt.connect = v;
     } else if (StartsWith(arg, "--timeout-ms=", &v)) {
-      opt.timeout_ms = std::atoi(v);
+      opt.timeout_ms = static_cast<int>(IntArg(arg, v, 1, INT_MAX));
     } else if (StartsWith(arg, "--audit-rate=", &v)) {
-      opt.audit_rate = std::atof(v);
+      opt.audit_rate = RealArg(arg, v, rate);
     } else if (StartsWith(arg, "--oplog=", &v)) {
       opt.oplog = v;
     } else if (StartsWith(arg, "--trace-out=", &v)) {
       opt.trace_out = v;
     } else if (StartsWith(arg, "--trace-capacity=", &v)) {
-      opt.trace_capacity = static_cast<std::size_t>(std::atoll(v));
+      opt.trace_capacity = static_cast<std::size_t>(IntArg(arg, v, 0));
     } else if (StartsWith(arg, "--zipf=", &v)) {
-      opt.zipf = std::atof(v);
-    } else if (StartsWith(arg, "--rmw=", &v)) {
-      if (std::strcmp(v, "sar") == 0) {
-        opt.rmw_delta = false;
-      } else if (std::strcmp(v, "delta") == 0) {
-        opt.rmw_delta = true;
-      } else {
-        Usage(arg);
-      }
+      opt.zipf = RealArg(arg, v, [](double x) { return x >= 0 && x < 1; });
     } else if (StartsWith(arg, "--multikey-rate=", &v)) {
-      opt.multikey_rate = std::atof(v);
+      opt.multikey_rate = RealArg(arg, v, rate);
     } else {
       Usage(arg);
     }
@@ -237,10 +265,156 @@ Options Parse(int argc, char** argv) {
   return opt;
 }
 
+// ---- configuration and report shared by both modes ---------------------------
+
+sql::Database::Config DatabaseConfig(const Options& opt) {
+  sql::Database::Config cfg;
+  cfg.read_delay = opt.db_read;
+  cfg.write_delay = opt.db_write;
+  cfg.commit_delay = opt.db_commit;
+  return cfg;
+}
+
+casql::CasqlConfig CasqlConfigFor(const Options& opt, check::OpLog* log) {
+  casql::CasqlConfig cfg;
+  cfg.technique = opt.technique;
+  cfg.consistency = opt.consistency;
+  cfg.placement = opt.placement;
+  cfg.audit_rate = opt.audit_rate;
+  cfg.op_log = log;
+  cfg.client.seed = opt.seed;
+  if (opt.near_ttl_ms > 0) cfg.client.near_capacity = opt.near_cap;
+  return cfg;
+}
+
+void PrintAudit(const casql::AuditStats& audit) {
+  std::printf("audit          %llu samples, stale_reads_detected=%llu, "
+              "%llu skipped, %llu bounded\n",
+              static_cast<unsigned long long>(audit.samples),
+              static_cast<unsigned long long>(audit.stale_reads_detected),
+              static_cast<unsigned long long>(audit.skipped),
+              static_cast<unsigned long long>(audit.bounded));
+}
+
+void PrintNearCache(const NearCache::Stats& ns, std::size_t entries) {
+  std::printf("near cache     %llu hits (zero round trips), %llu expired, "
+              "%llu invalidated, %llu evictions (%zu entries)\n",
+              static_cast<unsigned long long>(ns.hits),
+              static_cast<unsigned long long>(ns.expired),
+              static_cast<unsigned long long>(ns.invalidated),
+              static_cast<unsigned long long>(ns.evictions), entries);
+}
+
+bool DumpOpLog(const check::OpLog& log, const std::string& path) {
+  if (path.empty() || log.DumpToFile(path)) return true;
+  std::fprintf(stderr, "iqbench: cannot write op log '%s'\n", path.c_str());
+  return false;
+}
+
 // ---- remote mode ------------------------------------------------------------
 
-constexpr int kRemoteCounters = 8;
-constexpr int kRemoteDataKeys = 64;
+constexpr int kCounters = 8;
+constexpr int kDataRows = 64;
+/// Under --technique=incremental, one write op in this many per worker also
+/// runs the own-update probe.
+constexpr std::uint64_t kProbeEvery = 8;
+
+std::string CounterKey(int id) { return "ctr:" + std::to_string(id); }
+std::string DataKey(int id) { return "data:" + std::to_string(id); }
+
+/// The ground truth of a remote run: `ctr` holds the counters the writers
+/// increment, `data` the rows that are only ever read. Each data row is
+/// 100 bytes tagged with its id, so a value served under the wrong key is
+/// stale to the auditor.
+void LoadRemoteTables(sql::Database& db) {
+  db.CreateTable(sql::SchemaBuilder("ctr")
+                     .AddInt("id")
+                     .AddInt("n")
+                     .PrimaryKey({"id"})
+                     .Build());
+  db.CreateTable(sql::SchemaBuilder("data")
+                     .AddInt("id")
+                     .AddText("v")
+                     .PrimaryKey({"id"})
+                     .Build());
+  auto txn = db.Begin();
+  for (int i = 0; i < kCounters; ++i) txn->Insert("ctr", {sql::V(i), sql::V(0)});
+  for (int i = 0; i < kDataRows; ++i) {
+    std::string value = "row " + std::to_string(i) + " ";
+    value.resize(100, 'x');
+    txn->Insert("data", {sql::V(i), sql::V(std::move(value))});
+  }
+  txn->Commit();
+}
+
+/// A row's cached text (its second column): what a read recomputes on a
+/// miss and what the auditor compares a hit against.
+casql::ComputeFn RowValue(const char* table, int id) {
+  return [table, id](sql::Transaction& txn) -> std::optional<std::string> {
+    auto row = txn.SelectByPk(table, {sql::V(id)});
+    if (!row) return std::nullopt;
+    if (auto n = sql::AsInt((*row)[1])) return std::to_string(*n);
+    return sql::AsText((*row)[1]);
+  };
+}
+
+/// One write session adding 1 to each counter in `ids` (ascending, so
+/// contending sessions take their leases in one direction). Every key
+/// carries both rules, refresh (old + 1, skipped on a miss) and an Incr
+/// delta, so the same spec runs under every technique.
+casql::WriteSpec IncrementSpec(std::vector<int> ids) {
+  casql::WriteSpec spec;
+  for (int id : ids) {
+    casql::KeyUpdate u;
+    u.key = CounterKey(id);
+    u.refresh = [](const std::optional<std::string>& old)
+        -> std::optional<std::string> {
+      if (!old) return std::nullopt;
+      return std::to_string(std::atoll(old->c_str()) + 1);
+    };
+    u.delta = DeltaOp{DeltaOp::Kind::kIncr, {}, 1};
+    spec.updates.push_back(std::move(u));
+  }
+  spec.body = [ids = std::move(ids)](sql::Transaction& txn) {
+    for (int id : ids) {
+      if (txn.UpdateByPk("ctr", {sql::V(id)}, [](sql::Row& row) {
+            row[1] = sql::V(*sql::AsInt(row[1]) + 1);
+          }) != sql::TxnResult::kOk) {
+        return false;
+      }
+    }
+    return true;
+  };
+  return spec;
+}
+
+/// The own-update visibility probe (Section 4.2.2): QaRead, a buffered
+/// Incr, a second QaRead under the same live Q lease, then Abort, which
+/// discards the delta, so the probe changes neither the cache nor the
+/// database. The server must replay the pending delta into the re-read; the
+/// read_own record lets iqcheck flag a pre-delta value reappearing
+/// (non_monotonic_session).
+void OwnUpdateProbe(IQSession& session, const std::string& key,
+                    check::OpLog* log) {
+  auto record = [&](check::OpKind kind, const std::optional<std::string>& v) {
+    if (log) {
+      log->Record(session.id(), kind, TraceKeyHash(key), check::OpValueHash(v));
+    }
+  };
+  std::optional<std::string> before;
+  if (session.QaRead(key, before) == ClientQResult::kGranted) {
+    record(before ? check::OpKind::kReadHit : check::OpKind::kReadMiss, before);
+    if (before && session.Incr(key, 1) == ClientQResult::kGranted) {
+      record(check::OpKind::kDelta, std::nullopt);
+      std::optional<std::string> own;
+      if (session.QaRead(key, own) == ClientQResult::kGranted) {
+        record(check::OpKind::kReadOwn, own);
+      }
+    }
+  }
+  session.Abort();
+  if (log) log->Record(session.id(), check::OpKind::kAbort, 0);
+}
 
 /// One client thread's view of the remote tier: one reconnecting pipelined
 /// connection per endpoint, a RemoteBackend per connection, and (for >1
@@ -302,241 +476,21 @@ struct RemoteStack {
   }
 };
 
-/// Op-log append (no-op when log is null). The key is hashed here; value
-/// hashes come pre-computed via check::OpValueHash.
-void LogOp(check::OpLog* log, SessionId session, check::OpKind kind,
-           const std::string& key,
-           std::uint64_t value_hash = check::kNoValueHash) {
-  if (log) log->Record(session, kind, TraceKeyHash(key), value_hash);
-}
-
-/// A failed lease request ends the logical session. Record which way it
-/// died: transport_error when the transport (not a lease conflict) killed
-/// it, abort otherwise — the offline checker treats both as session ends,
-/// and the distinct kind lets fault-leg op logs be certified instead of
-/// mis-reading a connection drop as a voluntary abort.
-check::OpKind EndKind(bool transport_error) {
-  return transport_error ? check::OpKind::kTransportError
-                         : check::OpKind::kAbort;
-}
-
-/// One increment of a shared counter via the refresh protocol, retried
-/// with exponential backoff across lease rejections AND transport failures
-/// until it commits or `deadline` passes. Every session ends with
-/// Commit/Abort so a routing backend can retire its per-shard session
-/// state.
-///
-/// `tally` is the authoritative count of committed increments — the stand-in
-/// for the RDBMS of a real CASQL deployment. It serves double duty: the
-/// final balance check compares cache contents against it, and a KVS miss
-/// under the Q lease (the cache server was restarted and lost the counter)
-/// reseeds the key from it, exactly as a CASQL refresh would recompute the
-/// value from the database.
-///
-/// `use_delta` switches the increment to a buffered IQDelta plus a re-read
-/// under the session's own (still live) Q lease — the own-update
-/// visibility probe: the server must replay the pending delta into the
-/// re-read (Section 4.2.2), and the read_own op record lets iqcheck flag a
-/// pre-delta value reappearing. A KVS miss still reseeds via SaR.
-bool RemoteIncrement(KvsBackend& backend, const std::string& key,
-                     std::atomic<long long>& tally, Nanos deadline, Rng& rng,
-                     bool use_delta = false, check::OpLog* log = nullptr) {
-  const Clock& clock = SteadyClock::Instance();
-  ExponentialBackoff backoff(50 * kNanosPerMicro, 20 * kNanosPerMilli);
-  for (int attempt = 0; clock.Now() < deadline; ++attempt) {
-    SessionId session = backend.GenID();
-    if (session == 0) {
-      // Shard unreachable; back off while the channel reconnects.
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
-    }
-    QaReadReply q = backend.QaRead(key, session);
-    if (q.status != QaReadReply::Status::kGranted) {
-      backend.Abort(session);
-      LogOp(log, session,
-            EndKind(q.status == QaReadReply::Status::kTransportError), key);
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
-    }
-    LogOp(log, session,
-          q.value ? check::OpKind::kReadHit : check::OpKind::kReadMiss, key,
-          check::OpValueHash(q.value));
-    if (use_delta && q.value) {
-      DeltaOp delta;
-      delta.kind = DeltaOp::Kind::kIncr;
-      delta.amount = 1;
-      QuarantineResult d = backend.IQDelta(session, key, delta);
-      if (d != QuarantineResult::kGranted) {
-        backend.Abort(session);
-        LogOp(log, session, EndKind(d == QuarantineResult::kTransportError),
-              key);
-        SleepFor(clock, backoff.DelayFor(attempt, rng));
-        continue;
-      }
-      LogOp(log, session, check::OpKind::kDelta, key);
-      // Re-read under our own live Q lease: same session, so the server
-      // hands back the value with our buffered delta replayed (no grant is
-      // traced — we already hold the lease).
-      QaReadReply own = backend.QaRead(key, session);
-      if (own.status == QaReadReply::Status::kGranted) {
-        LogOp(log, session, check::OpKind::kReadOwn, key,
-              check::OpValueHash(own.value));
-      }
-      // Commit applies the buffered delta. Tally after the send, as the
-      // SaR path does after its ack: the exposure window against a
-      // mid-commit kill is the same sub-microsecond one noted below.
-      backend.Commit(session);
-      tally.fetch_add(1, std::memory_order_relaxed);
-      LogOp(log, session, check::OpKind::kCommit, key);
-      return true;
-    }
-    // The Q lease serializes writers, so at most one session reseeds a lost
-    // counter at a time and concurrent increments still can't be lost.
-    long long current =
-        q.value ? std::atoll(q.value->c_str()) : tally.load();
-    std::string next = std::to_string(current + 1);
-    // Write intent logged BEFORE the install (check/oplog.h soundness rule).
-    LogOp(log, session, check::OpKind::kWrite, key, check::OpValueHash(next));
-    if (backend.SaR(key, std::string_view(next), q.token) ==
-        StoreResult::kStored) {
-      // Tally immediately after the ack: a kill between the ack and this
-      // increment could strand one unseeded commit, but that window is
-      // sub-microsecond against a kill cadence of seconds.
-      tally.fetch_add(1, std::memory_order_relaxed);
-      backend.Commit(session);
-      LogOp(log, session, check::OpKind::kCommit, key);
-      return true;
-    }
-    // SaR not acknowledged (lease expired/evicted, or the connection
-    // dropped): the store did not commit, so it must not be counted —
-    // release the session and retry.
-    backend.Abort(session);
-    LogOp(log, session, check::OpKind::kAbort, key);
-    SleepFor(clock, backoff.DelayFor(attempt, rng));
-  }
-  return false;
-}
-
-/// One two-counter write session: increment `key_a` AND `key_b` under a
-/// single session (two Q leases, one commit) — the multi-key leg of the
-/// checker's scenario matrix. SaR stores-and-releases immediately, so each
-/// counter is tallied after its own ack; an abort after the first ack
-/// cannot undo it and the balance invariant still holds.
-bool RemoteTransfer(KvsBackend& backend, const std::string& key_a,
-                    std::atomic<long long>& tally_a, const std::string& key_b,
-                    std::atomic<long long>& tally_b, Nanos deadline, Rng& rng,
-                    check::OpLog* log) {
-  const Clock& clock = SteadyClock::Instance();
-  ExponentialBackoff backoff(50 * kNanosPerMicro, 20 * kNanosPerMilli);
-  for (int attempt = 0; clock.Now() < deadline; ++attempt) {
-    SessionId session = backend.GenID();
-    if (session == 0) {
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
-    }
-    QaReadReply qa = backend.QaRead(key_a, session);
-    if (qa.status != QaReadReply::Status::kGranted) {
-      backend.Abort(session);
-      LogOp(log, session,
-            EndKind(qa.status == QaReadReply::Status::kTransportError), key_a);
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
-    }
-    LogOp(log, session,
-          qa.value ? check::OpKind::kReadHit : check::OpKind::kReadMiss,
-          key_a, check::OpValueHash(qa.value));
-    QaReadReply qb = backend.QaRead(key_b, session);
-    if (qb.status != QaReadReply::Status::kGranted) {
-      // Second-lease rejection: abort releases the first lease too.
-      backend.Abort(session);
-      LogOp(log, session,
-            EndKind(qb.status == QaReadReply::Status::kTransportError), key_b);
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
-    }
-    LogOp(log, session,
-          qb.value ? check::OpKind::kReadHit : check::OpKind::kReadMiss,
-          key_b, check::OpValueHash(qb.value));
-    std::string next_a = std::to_string(
-        (qa.value ? std::atoll(qa.value->c_str()) : tally_a.load()) + 1);
-    LogOp(log, session, check::OpKind::kWrite, key_a,
-          check::OpValueHash(next_a));
-    if (backend.SaR(key_a, std::string_view(next_a), qa.token) !=
-        StoreResult::kStored) {
-      backend.Abort(session);
-      LogOp(log, session, check::OpKind::kAbort, key_a);
-      SleepFor(clock, backoff.DelayFor(attempt, rng));
-      continue;
-    }
-    tally_a.fetch_add(1, std::memory_order_relaxed);
-    std::string next_b = std::to_string(
-        (qb.value ? std::atoll(qb.value->c_str()) : tally_b.load()) + 1);
-    LogOp(log, session, check::OpKind::kWrite, key_b,
-          check::OpValueHash(next_b));
-    if (backend.SaR(key_b, std::string_view(next_b), qb.token) ==
-        StoreResult::kStored) {
-      tally_b.fetch_add(1, std::memory_order_relaxed);
-      backend.Commit(session);
-      LogOp(log, session, check::OpKind::kCommit, key_b);
-      return true;
-    }
-    backend.Abort(session);
-    LogOp(log, session, check::OpKind::kAbort, key_b);
-    SleepFor(clock, backoff.DelayFor(attempt, rng));
-  }
-  return false;
-}
-
-enum class AuditVerdict { kOk, kStale, kSkip };
-
-/// Online staleness audit of one shared counter. A granted Q lease
-/// serializes against the writers, so the value read under it must fall in
-/// a bound derived from the tally of committed increments: every increment
-/// tallied before the QaRead (t1) had its SaR acked first, and at most
-/// `threads` acked increments can still be un-tallied by the time we load
-/// t2 afterwards — so t1 <= value <= t2 + threads, or the cache lost or
-/// invented an update. A KVS miss means a restarted shard dropped the
-/// counter (reseeded by the next increment): no verdict.
-AuditVerdict AuditRemoteCounter(KvsBackend& backend, const std::string& key,
-                                std::atomic<long long>& tally, int threads,
-                                check::OpLog* log) {
-  SessionId session = backend.GenID();
-  if (session == 0) return AuditVerdict::kSkip;
-  long long t1 = tally.load();
-  QaReadReply q = backend.QaRead(key, session);
-  if (q.status != QaReadReply::Status::kGranted) {
-    backend.Abort(session);
-    LogOp(log, session,
-          EndKind(q.status == QaReadReply::Status::kTransportError), key);
-    return AuditVerdict::kSkip;
-  }
-  LogOp(log, session,
-        q.value ? check::OpKind::kReadHit : check::OpKind::kReadMiss, key,
-        check::OpValueHash(q.value));
-  std::optional<long long> got;
-  if (q.value) got = std::atoll(q.value->c_str());
-  backend.SaR(key, std::nullopt, q.token);  // release, value left in place
-  backend.Commit(session);
-  LogOp(log, session, check::OpKind::kCommit, key);
-  if (!got) return AuditVerdict::kSkip;
-  long long t2 = tally.load();
-  return (*got >= t1 && *got <= t2 + threads) ? AuditVerdict::kOk
-                                              : AuditVerdict::kStale;
-}
-
-/// Data keys are never written after seeding, so any hit must return the
-/// seeded constant; a miss is a restarted shard (no verdict).
-AuditVerdict AuditRemoteDataKey(KvsBackend& backend, const std::string& key,
-                                check::OpLog* log) {
-  auto item = backend.Get(key);
-  if (!item) {
-    LogOp(log, 0, check::OpKind::kReadMiss, key);
-    return AuditVerdict::kSkip;
-  }
-  LogOp(log, 0, check::OpKind::kReadHit, key, check::OpValueHash(item->value));
-  return item->value == std::string(100, 'x') ? AuditVerdict::kOk
-                                              : AuditVerdict::kStale;
-}
+/// What the remote workers hand back as they exit, summed under one mutex.
+struct RemoteTotals {
+  std::uint64_t ops = 0;
+  LatencyHistogram latency;
+  casql::AuditStats audit;
+  NearCache::Stats near;
+  std::size_t near_entries = 0;
+  // Fault-recovery evidence from each worker's own stack: the settle-pass
+  // stack connects fresh and would report zeros even after a shard kill.
+  std::uint64_t reconnects = 0;
+  std::uint64_t transport_errors = 0;
+  std::uint64_t shard_trips = 0;
+  std::uint64_t shard_recoveries = 0;
+  bool connect_failed = false;
+};
 
 int RunRemote(const Options& opt) {
   std::string error;
@@ -549,19 +503,25 @@ int RunRemote(const Options& opt) {
   for (const net::Endpoint& ep : endpoints) {
     std::printf(" %s", net::Name(ep).c_str());
   }
-  std::printf(" (%zu shard%s) | %d threads, %.1fs, %.1f%% writes\n",
-              endpoints.size(), endpoints.size() == 1 ? "" : "s", opt.threads,
-              opt.seconds, opt.mix);
-  if (opt.zipf > 0 || opt.rmw_delta || opt.multikey_rate > 0) {
-    std::printf("iqbench: zipf=%.2f rmw=%s multikey-rate=%.2f\n", opt.zipf,
-                opt.rmw_delta ? "delta" : "sar", opt.multikey_rate);
+  std::printf(" (%zu shard%s) | %s / %s / %s | %d threads, %.1fs, %.1f%% "
+              "writes\n",
+              endpoints.size(), endpoints.size() == 1 ? "" : "s",
+              casql::ToString(opt.technique), casql::ToString(opt.consistency),
+              casql::ToString(opt.placement), opt.threads, opt.seconds,
+              opt.mix);
+  if (opt.zipf > 0 || opt.multikey_rate > 0) {
+    std::printf("iqbench: zipf=%.2f multikey-rate=%.2f\n", opt.zipf,
+                opt.multikey_rate);
   }
 
+  sql::Database db(DatabaseConfig(opt));
+  LoadRemoteTables(db);
   check::OpLog op_log;
   check::OpLog* log = opt.oplog.empty() ? nullptr : &op_log;
+  const casql::CasqlConfig base_cfg = CasqlConfigFor(opt, log);
 
-  // Seed the keyspace through the routing stack: shared counters for the
-  // write protocol, data keys for the read path. Seed records are logged
+  // Seed the tier from the database, so values an earlier run left on the
+  // same servers cannot pass for cached truth. Seed records are logged
   // before the install, like write intents.
   {
     auto setup = RemoteStack::Connect(endpoints, opt.timeout_ms, &error);
@@ -569,17 +529,18 @@ int RunRemote(const Options& opt) {
       std::fprintf(stderr, "iqbench: %s\n", error.c_str());
       return 1;
     }
-    for (int i = 0; i < kRemoteCounters; ++i) {
-      std::string key = "ctr:" + std::to_string(i);
-      LogOp(log, 0, check::OpKind::kSeed, key, check::OpValueHash("0"));
-      setup->backend->Set(key, "0");
-    }
-    for (int i = 0; i < kRemoteDataKeys; ++i) {
-      std::string key = "data:" + std::to_string(i);
-      LogOp(log, 0, check::OpKind::kSeed, key,
-            check::OpValueHash(std::string(100, 'x')));
-      setup->backend->Set(key, std::string(100, 'x'));
-    }
+    auto txn = db.Begin();
+    auto seed = [&](const std::string& key, const casql::ComputeFn& value) {
+      std::string v = *value(*txn);
+      if (log) {
+        log->Record(0, check::OpKind::kSeed, TraceKeyHash(key),
+                    check::OpValueHash(v));
+      }
+      setup->backend->Set(key, v);
+    };
+    for (int i = 0; i < kCounters; ++i) seed(CounterKey(i), RowValue("ctr", i));
+    for (int i = 0; i < kDataRows; ++i) seed(DataKey(i), RowValue("data", i));
+    txn->Rollback();
   }
 
   // Key pickers: Zipfian skew (scrambled so hot ids spread over the space)
@@ -587,39 +548,20 @@ int RunRemote(const Options& opt) {
   // are stateless after construction and shared across threads.
   std::optional<ScrambledZipfian> ctr_zipf, data_zipf;
   if (opt.zipf > 0) {
-    ctr_zipf.emplace(kRemoteCounters, opt.zipf);
-    data_zipf.emplace(kRemoteDataKeys, opt.zipf);
+    ctr_zipf.emplace(kCounters, opt.zipf);
+    data_zipf.emplace(kDataRows, opt.zipf);
   }
   auto pick_ctr = [&](Rng& rng) {
     return static_cast<int>(ctr_zipf ? ctr_zipf->Next(rng)
-                                     : rng.NextUint64(kRemoteCounters));
+                                     : rng.NextUint64(kCounters));
   };
   auto pick_data = [&](Rng& rng) {
     return static_cast<int>(data_zipf ? data_zipf->Next(rng)
-                                      : rng.NextUint64(kRemoteDataKeys));
+                                      : rng.NextUint64(kDataRows));
   };
 
-  std::vector<std::atomic<long long>> committed(kRemoteCounters);
-  for (auto& c : committed) c.store(0);
-  std::atomic<std::uint64_t> ops{0};
-  std::atomic<bool> failed{false};
-  // Fault-recovery evidence, harvested from each worker's own stack before it
-  // exits: the settle-pass stack below connects fresh and would report zeros
-  // even after a mid-run shard kill.
-  std::atomic<std::uint64_t> worker_reconnects{0};
-  std::atomic<std::uint64_t> worker_transport_errors{0};
-  std::atomic<std::uint64_t> worker_shard_trips{0};
-  std::atomic<std::uint64_t> worker_shard_recoveries{0};
-  std::atomic<std::uint64_t> audit_samples{0};
-  std::atomic<std::uint64_t> audit_stale{0};
-  std::atomic<std::uint64_t> audit_skipped{0};
-  // Near-cache tally merged from every worker's client-local cache at exit
-  // (the client side of the server's near_grants STAT counter).
-  std::atomic<std::uint64_t> near_hits{0};
-  std::atomic<std::uint64_t> near_expired{0};
-  std::atomic<std::uint64_t> near_invalidated{0};
-  std::atomic<std::uint64_t> near_evictions{0};
-  std::vector<LatencyHistogram> latencies(opt.threads);
+  std::mutex totals_mu;
+  RemoteTotals totals;
   const Clock& clock = SteadyClock::Instance();
   Nanos deadline = clock.Now() + static_cast<Nanos>(opt.seconds * kNanosPerSec);
 
@@ -630,227 +572,158 @@ int RunRemote(const Options& opt) {
       auto stack = RemoteStack::Connect(endpoints, opt.timeout_ms, &conn_error);
       if (!stack) {
         std::fprintf(stderr, "iqbench: thread %d: %s\n", t, conn_error.c_str());
-        failed.store(true);
+        std::lock_guard lock(totals_mu);
+        totals.connect_failed = true;
         return;
       }
-      // Single-endpoint reads keep the one-round-trip multi-key get; a
-      // sharded tier reads per key (each key lives on one server).
-      std::unique_ptr<net::RemoteCacheClient> multi;
-      if (endpoints.size() == 1) {
-        multi = std::make_unique<net::RemoteCacheClient>(stack->pool->channel(0));
-      }
-      // Near-cache read stack: data-key reads go through an IQSession so
-      // server validity grants (iqcached --near-validity-ms) populate a
-      // client-local near cache; repeat reads inside the granted interval
-      // are served with zero round trips (DESIGN.md §4.10). The counter
-      // write path keeps the raw QaRead/SaR protocol — no grants there.
-      std::unique_ptr<IQClient> near_client;
-      std::unique_ptr<IQSession> near_session;
-      if (opt.near_ttl_ms > 0) {
-        IQClient::Config near_cfg;
-        near_cfg.near_capacity = opt.near_cap;
-        near_cfg.seed = opt.seed + static_cast<std::uint64_t>(t) * 31;
-        near_client = std::make_unique<IQClient>(*stack->backend, near_cfg);
-        near_session = near_client->NewSession();
+      // One system per worker: a system binds one backend, and each
+      // worker's channels carry one request at a time.
+      casql::CasqlConfig cfg = base_cfg;
+      cfg.client.seed = opt.seed + static_cast<std::uint64_t>(t) * 31;
+      casql::CasqlSystem system(db, *stack->backend, cfg);
+      auto conn = system.Connect();
+      std::unique_ptr<IQSession> probe;
+      if (opt.technique == casql::Technique::kIncremental) {
+        probe = system.client().NewSession();
       }
       Rng rng(opt.seed + static_cast<std::uint64_t>(t) * 7919);
-      std::uint64_t local_ops = 0;
+      LatencyHistogram latency;
+      std::uint64_t ops = 0;
+      std::uint64_t writes = 0;
       while (clock.Now() < deadline) {
         Nanos start = clock.Now();
         if (rng.NextUint64(10000) < static_cast<std::uint64_t>(opt.mix * 100)) {
           int idx = pick_ctr(rng);
-          // A false return means the run deadline arrived while the
-          // counter's shard was unreachable — not an error: the increment
-          // never committed, so it is not tallied and the balance holds.
+          if (probe && ++writes % kProbeEvery == 0) {
+            OwnUpdateProbe(*probe, CounterKey(idx), log);
+          }
           if (opt.multikey_rate > 0 && rng.NextBool(opt.multikey_rate)) {
             int jdx = pick_ctr(rng);
-            while (jdx == idx) jdx = static_cast<int>(rng.NextUint64(kRemoteCounters));
-            // Order the keys so contending transfers always acquire in the
-            // same direction (no circular rejection livelock).
-            if (jdx < idx) std::swap(idx, jdx);
-            RemoteTransfer(*stack->backend, "ctr:" + std::to_string(idx),
-                           committed[idx], "ctr:" + std::to_string(jdx),
-                           committed[jdx], deadline, rng, log);
+            while (jdx == idx) jdx = static_cast<int>(rng.NextUint64(kCounters));
+            conn->Write(IncrementSpec({std::min(idx, jdx), std::max(idx, jdx)}));
           } else {
-            RemoteIncrement(*stack->backend, "ctr:" + std::to_string(idx),
-                            committed[idx], deadline, rng, opt.rmw_delta, log);
-          }
-        } else if (opt.audit_rate > 0 && rng.NextBool(opt.audit_rate)) {
-          // Audit instead of a plain read: one shared counter under a Q
-          // lease and one never-written data key.
-          int idx = pick_ctr(rng);
-          AuditVerdict v =
-              AuditRemoteCounter(*stack->backend, "ctr:" + std::to_string(idx),
-                                 committed[idx], opt.threads, log);
-          AuditVerdict d = AuditRemoteDataKey(
-              *stack->backend, "data:" + std::to_string(pick_data(rng)), log);
-          for (AuditVerdict verdict : {v, d}) {
-            switch (verdict) {
-              case AuditVerdict::kOk: ++audit_samples; break;
-              case AuditVerdict::kStale:
-                ++audit_samples;
-                ++audit_stale;
-                break;
-              case AuditVerdict::kSkip: ++audit_skipped; break;
-            }
-          }
-        } else if (near_session) {
-          for (int k = 0; k < 3; ++k) {
-            std::string key = "data:" + std::to_string(pick_data(rng));
-            ClientGetResult got = near_session->Get(key);
-            if (got.status == ClientGetResult::Status::kHit) {
-              LogOp(log, 0, check::OpKind::kReadHit, key,
-                    check::OpValueHash(got.value));
-            } else {
-              // Data keys are never recomputed (a miss means a restarted
-              // shard); drop the I lease so other readers are not blocked.
-              if (got.status == ClientGetResult::Status::kMissRecompute) {
-                near_session->DropLease(key);
-              }
-              LogOp(log, 0, check::OpKind::kReadMiss, key);
-            }
-          }
-        } else if (multi) {
-          std::vector<std::string> keys;
-          for (int k = 0; k < 3; ++k) {
-            keys.push_back("data:" + std::to_string(pick_data(rng)));
-          }
-          auto items = multi->MultiGet(keys);
-          for (std::size_t k = 0; log && k < items.size(); ++k) {
-            if (items[k]) {
-              LogOp(log, 0, check::OpKind::kReadHit, keys[k],
-                    check::OpValueHash(items[k]->value));
-            } else {
-              LogOp(log, 0, check::OpKind::kReadMiss, keys[k]);
-            }
+            conn->Write(IncrementSpec({idx}));
           }
         } else {
-          for (int k = 0; k < 3; ++k) {
-            std::string key = "data:" + std::to_string(pick_data(rng));
-            auto item = stack->backend->Get(key);
-            if (item) {
-              LogOp(log, 0, check::OpKind::kReadHit, key,
-                    check::OpValueHash(item->value));
-            } else {
-              LogOp(log, 0, check::OpKind::kReadMiss, key);
-            }
+          int c = pick_ctr(rng);
+          conn->Read(CounterKey(c), RowValue("ctr", c));
+          for (int k = 0; k < 2; ++k) {
+            int d = pick_data(rng);
+            conn->Read(DataKey(d), RowValue("data", d));
           }
         }
-        latencies[t].Record(clock.Now() - start);
-        ++local_ops;
+        latency.Record(clock.Now() - start);
+        ++ops;
       }
-      ops.fetch_add(local_ops, std::memory_order_relaxed);
-      if (near_client != nullptr && near_client->near_cache() != nullptr) {
-        NearCache::Stats ns = near_client->near_cache()->stats();
-        near_hits += ns.hits;
-        near_expired += ns.expired;
-        near_invalidated += ns.invalidated;
-        near_evictions += ns.evictions;
+      std::lock_guard lock(totals_mu);
+      totals.ops += ops;
+      totals.latency.Merge(latency);
+      casql::AuditStats audit = system.audit_stats();
+      totals.audit.samples += audit.samples;
+      totals.audit.stale_reads_detected += audit.stale_reads_detected;
+      totals.audit.skipped += audit.skipped;
+      totals.audit.bounded += audit.bounded;
+      if (NearCache* near = system.client().near_cache()) {
+        NearCache::Stats ns = near->stats();
+        totals.near.hits += ns.hits;
+        totals.near.expired += ns.expired;
+        totals.near.invalidated += ns.invalidated;
+        totals.near.evictions += ns.evictions;
+        totals.near_entries += near->size();
       }
-      near_session.reset();  // release any I leases before the stack dies
       for (std::size_t i = 0; i < stack->pool->size(); ++i) {
-        worker_reconnects += stack->pool->channel(i).reconnects();
-        worker_transport_errors += stack->pool->channel(i).transport_errors();
+        totals.reconnects += stack->pool->channel(i).reconnects();
+        totals.transport_errors += stack->pool->channel(i).transport_errors();
       }
       if (stack->router) {
         auto rs = stack->router->router_stats();
-        worker_shard_trips += rs.shard_trips;
-        worker_shard_recoveries += rs.shard_recoveries;
+        totals.shard_trips += rs.shard_trips;
+        totals.shard_recoveries += rs.shard_recoveries;
       }
     });
   }
   for (auto& thread : threads) thread.join();
-  if (failed.load()) {
+  if (totals.connect_failed) {
     std::fprintf(stderr, "iqbench: a worker lost its connection\n");
     return 1;
   }
 
-  // Exact IQ counter balance: every committed increment — and nothing
-  // else — must be visible, wherever the ring placed each counter. A lost
-  // lease, a desynced pipeline, or a mis-routed fan-out shows up here as a
-  // mismatch.
-  auto check = RemoteStack::Connect(endpoints, opt.timeout_ms, &error);
-  if (!check) {
+  // Settle pass, serialized through a Q lease per counter: one casql
+  // increment (it waits out a lease a torn connection stranded, and on a
+  // restarted shard it runs against a missing key), then a casql Read (a
+  // miss recomputes from the database and installs), then a raw Get, which
+  // must equal the counter's `ctr` row. A lost update, a desynced pipeline
+  // or a mis-routed fan-out shows up as a mismatch. The deadline also gives
+  // a just-restarted shard time to accept connections.
+  auto settle = RemoteStack::Connect(endpoints, opt.timeout_ms, &error);
+  if (!settle) {
     std::fprintf(stderr, "iqbench: %s\n", error.c_str());
     return 1;
   }
-  // Settle pass: one more increment per counter through the Q-lease path.
-  // A counter whose shard was killed and restarted is missing from the
-  // restarted server; the settle increment reseeds it from the tally (the
-  // same recovery every worker performs), so the read below checks real
-  // end-to-end recovery rather than special-casing restarted shards. The
-  // deadline also gives a just-restarted shard time to accept connections.
-  Rng settle_rng(opt.seed ^ 0xC0FFEE);
+  casql::CasqlConfig settle_cfg = base_cfg;
+  settle_cfg.client.seed = opt.seed ^ 0xC0FFEE;
+  casql::CasqlSystem settle_system(db, *settle->backend, settle_cfg);
+  auto settle_conn = settle_system.Connect();
   Nanos settle_deadline = clock.Now() + 10 * kNanosPerSec;
-  long long total_commits = 0;
+  bool settled = true;
   bool balanced = true;
-  for (int i = 0; i < kRemoteCounters; ++i) {
-    std::string key = "ctr:" + std::to_string(i);
-    if (!RemoteIncrement(*check->backend, key, committed[i], settle_deadline,
-                         settle_rng, /*use_delta=*/false, log)) {
+  long long increments = 0;
+  for (int i = 0; i < kCounters; ++i) {
+    std::string key = CounterKey(i);
+    bool committed = false;
+    while (!committed && clock.Now() < settle_deadline) {
+      committed = settle_conn->Write(IncrementSpec({i})).committed;
+    }
+    if (!committed) {
       std::fprintf(stderr, "iqbench: %s unreachable during settle pass\n",
                    key.c_str());
-      balanced = false;
+      settled = false;
       continue;
     }
-    auto item = check->backend->Get(key);
-    if (item) {
-      LogOp(log, 0, check::OpKind::kReadHit, key,
-            check::OpValueHash(item->value));
+    settle_conn->Read(key, RowValue("ctr", i));
+    auto item = settle->backend->Get(key);
+    if (item && log) {
+      log->Record(0, check::OpKind::kReadHit, TraceKeyHash(key),
+                  check::OpValueHash(item->value));
     }
-    long long expect = committed[i].load();
-    long long got = item ? std::atoll(item->value.c_str()) : -1;
-    total_commits += expect;
-    if (got != expect) {
-      std::fprintf(stderr, "iqbench: ctr:%d = %lld, expected %lld\n", i, got,
-                   expect);
+    std::string truth = *RowValue("ctr", i)(*db.Begin());
+    increments += std::atoll(truth.c_str());
+    if (!item || item->value != truth) {
+      std::fprintf(stderr, "iqbench: %s = %s, expected %s\n", key.c_str(),
+                   item ? item->value.c_str() : "(miss)", truth.c_str());
       balanced = false;
     }
   }
 
-  LatencyHistogram merged;
-  for (const auto& h : latencies) merged.Merge(h);
-  double elapsed = opt.seconds;
   std::printf("throughput     %12.0f ops/sec (%llu ops, %lld increments)\n",
-              static_cast<double>(ops.load()) / elapsed,
-              static_cast<unsigned long long>(ops.load()), total_commits);
-  std::printf("latency        %s\n", merged.Summary().c_str());
-  std::printf("counter balance %s\n", balanced ? "exact" : "VIOLATED");
-  if (opt.audit_rate > 0) {
-    std::printf("audit          %llu samples, stale_reads_detected=%llu, "
-                "%llu skipped\n",
-                static_cast<unsigned long long>(audit_samples.load()),
-                static_cast<unsigned long long>(audit_stale.load()),
-                static_cast<unsigned long long>(audit_skipped.load()));
-  }
-  if (opt.near_ttl_ms > 0) {
-    std::printf("near cache     %llu hits (zero round trips), %llu expired, "
-                "%llu invalidated, %llu evictions\n",
-                static_cast<unsigned long long>(near_hits.load()),
-                static_cast<unsigned long long>(near_expired.load()),
-                static_cast<unsigned long long>(near_invalidated.load()),
-                static_cast<unsigned long long>(near_evictions.load()));
-  }
+              static_cast<double>(totals.ops) / opt.seconds,
+              static_cast<unsigned long long>(totals.ops), increments);
+  std::printf("latency        %s\n", totals.latency.Summary().c_str());
+  std::printf("counter balance %s\n", settled && balanced ? "exact" : "VIOLATED");
+  if (opt.audit_rate > 0) PrintAudit(totals.audit);
+  if (opt.near_ttl_ms > 0) PrintNearCache(totals.near, totals.near_entries);
   std::printf(
       "fault recovery  %llu transport errors, %llu reconnects, "
       "%llu trips, %llu recoveries (worker-side)\n",
-      static_cast<unsigned long long>(worker_transport_errors.load()),
-      static_cast<unsigned long long>(worker_reconnects.load()),
-      static_cast<unsigned long long>(worker_shard_trips.load()),
-      static_cast<unsigned long long>(worker_shard_recoveries.load()));
-  if (check->router) {
+      static_cast<unsigned long long>(totals.transport_errors),
+      static_cast<unsigned long long>(totals.reconnects),
+      static_cast<unsigned long long>(totals.shard_trips),
+      static_cast<unsigned long long>(totals.shard_recoveries));
+  if (settle->router) {
     std::printf("\ncache tier (aggregated + per-shard):\n%s",
-                check->router->FormatStats().c_str());
+                settle->router->FormatStats().c_str());
   } else {
     std::printf("\ncache server:\n%s",
-                net::RemoteCacheClient(check->pool->channel(0)).Stats().c_str());
+                net::RemoteCacheClient(settle->pool->channel(0)).Stats().c_str());
   }
-  if (log && !op_log.DumpToFile(opt.oplog)) {
-    std::fprintf(stderr, "iqbench: cannot write op log '%s'\n",
-                 opt.oplog.c_str());
-    return 1;
-  }
-  return balanced && audit_stale.load() == 0 ? 0 : 1;
+  if (!DumpOpLog(op_log, opt.oplog)) return 1;
+  // Under IQ an imbalance or a detected stale read is a consistency bug and
+  // fails the run; the baselines are expected to diverge (that is the
+  // paper's point), so they report without failing.
+  bool violated = !balanced || totals.audit.stale_reads_detected != 0;
+  return settled && !(opt.consistency == casql::Consistency::kIQ && violated)
+             ? 0
+             : 1;
 }
 
 }  // namespace
@@ -865,11 +738,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(opt.members), opt.threads, opt.seconds,
               opt.mix);
 
-  sql::Database::Config db_cfg;
-  db_cfg.read_delay = opt.db_read;
-  db_cfg.write_delay = opt.db_write;
-  db_cfg.commit_delay = opt.db_commit;
-  sql::Database db(db_cfg);
+  sql::Database db(DatabaseConfig(opt));
 
   bg::GraphConfig graph;
   graph.members = opt.members;
@@ -892,14 +761,8 @@ int main(int argc, char** argv) {
   IQServer server(CacheStore::Config{}, server_cfg);
 
   check::OpLog op_log;
-  casql::CasqlConfig cfg;
-  cfg.technique = opt.technique;
-  cfg.consistency = opt.consistency;
-  cfg.placement = opt.placement;
-  cfg.audit_rate = opt.audit_rate;
-  if (opt.near_ttl_ms > 0) cfg.client.near_capacity = opt.near_cap;
-  if (!opt.oplog.empty()) cfg.op_log = &op_log;
-  casql::CasqlSystem system(db, server, cfg);
+  casql::CasqlSystem system(
+      db, server, CasqlConfigFor(opt, opt.oplog.empty() ? nullptr : &op_log));
 
   if (opt.warm) {
     std::printf("warming the cache...\n");
@@ -937,32 +800,14 @@ int main(int argc, char** argv) {
               result.restarts.AvgRestarts(),
               static_cast<unsigned long long>(result.restarts.restarted_sessions),
               static_cast<unsigned long long>(result.restarts.max_q_restarts));
-  if (opt.audit_rate > 0) {
-    casql::AuditStats audit = system.audit_stats();
-    std::printf("audit          %llu samples, stale_reads_detected=%llu, "
-                "%llu skipped, %llu bounded\n",
-                static_cast<unsigned long long>(audit.samples),
-                static_cast<unsigned long long>(audit.stale_reads_detected),
-                static_cast<unsigned long long>(audit.skipped),
-                static_cast<unsigned long long>(audit.bounded));
-  }
+  if (opt.audit_rate > 0) PrintAudit(system.audit_stats());
   if (NearCache* near = system.client().near_cache()) {
-    NearCache::Stats ns = near->stats();
-    std::printf("near cache     %llu hits (zero round trips), %llu expired, "
-                "%llu invalidated, %llu evictions (%zu entries)\n",
-                static_cast<unsigned long long>(ns.hits),
-                static_cast<unsigned long long>(ns.expired),
-                static_cast<unsigned long long>(ns.invalidated),
-                static_cast<unsigned long long>(ns.evictions), near->size());
+    PrintNearCache(near->stats(), near->size());
   }
   std::printf("\ncache server:\n%s", net::FormatStats(server).c_str());
   // Artifacts for the offline checker: the client op log and the server's
   // lease trace with its completeness header (iqcheck --oplog / --trace).
-  if (!opt.oplog.empty() && !op_log.DumpToFile(opt.oplog)) {
-    std::fprintf(stderr, "iqbench: cannot write op log '%s'\n",
-                 opt.oplog.c_str());
-    return 1;
-  }
+  if (!DumpOpLog(op_log, opt.oplog)) return 1;
   if (!opt.trace_out.empty()) {
     std::string text = FormatTraceInfo(server.TraceInfoTotal());
     text += FormatTraceEvents(
