@@ -1,7 +1,8 @@
 // bench_kvs: read-hit scaling of the CacheStore hot path, optimistic
 // (mutex-free seqlock mirrors, DESIGN.md §4.6) vs locked (per-shard mutex),
 // plus single-thread hit latency for both — the numbers behind the claim
-// that lease-free read hits no longer serialize on shard mutexes.
+// that lease-free read hits no longer serialize on shard mutexes — and the
+// resident memory each cached item costs, with the mirrors on and off.
 //
 // All threads share one hot keyspace (the worst case for the mutex: every
 // hit funnels through the shard locks; the best case for the seqlock: a hit
@@ -10,6 +11,9 @@
 // Environment:
 //   IQ_BENCH_SECONDS   measurement window per cell in seconds (default 1.0)
 //   IQ_BENCH_KVS_OUT   JSON artifact path (default BENCH_kvs.json)
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -28,6 +32,8 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int kKeys = 256;
 constexpr int kValueBytes = 64;
+/// Items loaded by each memory cell, keyed like perfbench's kv_pipelined.
+constexpr int kMemoryItems = 100'000;
 
 iq::CacheStore::Config StoreConfig(bool optimistic) {
   iq::CacheStore::Config cfg;
@@ -126,6 +132,50 @@ double RunIQgetLatencyCell(bool optimistic, double seconds) {
   return ops > 0 ? elapsed * 1e9 / static_cast<double>(ops) : 0;
 }
 
+/// Resident pages of this process, from /proc/self/statm.
+long ResidentPages() {
+  long size = 0;
+  long resident = 0;
+  if (FILE* f = std::fopen("/proc/self/statm", "r")) {
+    if (std::fscanf(f, "%ld %ld", &size, &resident) != 2) resident = 0;
+    std::fclose(f);
+  }
+  return resident;
+}
+
+/// Resident bytes per item after loading kMemoryItems keys with
+/// `value_bytes`-byte values into a fresh store. Each cell runs in a forked
+/// child, so no heap the parent freed earlier absorbs its allocations.
+double RunMemoryCell(bool optimistic, std::size_t value_bytes) {
+  int fds[2];
+  if (::pipe(fds) != 0) return 0;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    const std::string value(value_bytes, 'v');
+    const long before = ResidentPages();
+    iq::CacheStore store(StoreConfig(optimistic));
+    for (int i = 0; i < kMemoryItems; ++i) {
+      store.Set("kv:" + std::to_string(i), value);
+    }
+    const double bytes = static_cast<double>(ResidentPages() - before) *
+                         static_cast<double>(::sysconf(_SC_PAGESIZE)) /
+                         kMemoryItems;
+    const bool ok = store.Stats().item_count == kMemoryItems;
+    const double out = ok ? bytes : 0;
+    ssize_t n = ::write(fds[1], &out, sizeof(out));
+    ::_exit(n == sizeof(out) ? 0 : 1);
+  }
+  ::close(fds[1]);
+  double bytes = 0;
+  if (pid < 0 || ::read(fds[0], &bytes, sizeof(bytes)) != sizeof(bytes)) {
+    bytes = 0;
+  }
+  ::close(fds[0]);
+  if (pid > 0) ::waitpid(pid, nullptr, 0);
+  return bytes;
+}
+
 }  // namespace
 
 int main() {
@@ -133,7 +183,24 @@ int main() {
   const unsigned hw = std::thread::hardware_concurrency();
   const int thread_counts[] = {1, 2, 4, 8};
 
-  std::printf("bench_kvs: shared-keyspace read hits, %d keys x %d-byte "
+  // Memory first: the forked children then start from a near-empty heap.
+  struct MemoryCell {
+    std::size_t value_bytes;
+    double mirror_on;
+    double mirror_off;
+  };
+  std::vector<MemoryCell> memory;
+  std::printf("bench_kvs: resident bytes per item, %d items\n\n",
+              kMemoryItems);
+  std::printf("  %-12s %14s %14s\n", "value bytes", "mirror on",
+              "mirror off");
+  for (std::size_t n : {16, 100, 250}) {
+    MemoryCell m{n, RunMemoryCell(true, n), RunMemoryCell(false, n)};
+    memory.push_back(m);
+    std::printf("  %-12zu %14.0f %14.0f\n", n, m.mirror_on, m.mirror_off);
+  }
+
+  std::printf("\nbench_kvs: shared-keyspace read hits, %d keys x %d-byte "
               "values, %.1fs per cell, %u hardware threads\n\n",
               kKeys, kValueBytes, seconds, hw);
 
@@ -218,10 +285,22 @@ int main() {
                "{\"optimistic\": %.0f, \"locked\": %.0f},\n"
                "  \"single_thread_iqget_hit_ns\": "
                "{\"optimistic\": %.0f, \"locked\": %.0f},\n"
+               "  \"memory_items\": %d,\n"
+               "  \"memory_cells\": [\n",
+               scaling_4_vs_1, scaling_8_vs_1, lat_opt, lat_locked, iq_lat_opt,
+               iq_lat_locked, kMemoryItems);
+  for (std::size_t i = 0; i < memory.size(); ++i) {
+    std::fprintf(f,
+                 "    {\"value_bytes\": %zu, "
+                 "\"resident_bytes_per_item_mirror_on\": %.0f, "
+                 "\"resident_bytes_per_item_mirror_off\": %.0f}%s\n",
+                 memory[i].value_bytes, memory[i].mirror_on,
+                 memory[i].mirror_off, i + 1 < memory.size() ? "," : "");
+  }
+  std::fprintf(f,
+               "  ],\n"
                "  \"note\": \"%s\"\n"
                "}\n",
-               scaling_4_vs_1, scaling_8_vs_1, lat_opt, lat_locked, iq_lat_opt,
-               iq_lat_locked,
                note);
   std::fclose(f);
   std::printf("  wrote %s\n", out_path);

@@ -231,6 +231,9 @@ ReadOutcome CasqlConnection::ReadLeased(const std::string& key,
 // ---- write sessions ----------------------------------------------------------
 
 WriteOutcome CasqlConnection::Write(const WriteSpec& spec) {
+  // Restart k of this write waits per attempt k (Abort keeps the count), so
+  // the count starts over here rather than leaking in from the last write.
+  session_->ResetBackoff();
   if (system_.config_.consistency == Consistency::kIQ) {
     switch (system_.config_.technique) {
       case Technique::kInvalidate: return WriteIQInvalidate(spec);
@@ -245,11 +248,6 @@ WriteOutcome CasqlConnection::WriteBaseline(const WriteSpec& spec) {
   WriteOutcome out;
   KvsBackend& store = system_.backend_;
   const CasqlConfig& cfg = system_.config_;
-  // Baseline restarts only ever call Backoff() — never Commit()/Abort() on
-  // the IQ session — so without an explicit reset the escalation counter
-  // leaks across Write() calls and every later conflict waits the cap
-  // delay (the "stuck backoff" bug).
-  session_->ResetBackoff();
   for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
     auto txn = system_.db_.Begin();
     bool ok = spec.body(*txn);
@@ -362,17 +360,12 @@ WriteOutcome CasqlConnection::WriteBaseline(const WriteSpec& spec) {
   return out;
 }
 
-namespace {
-
-/// Whether an IQ write under `technique` must quarantine `u` (QaReg, the
-/// key deleted at commit) instead of refreshing or delta-updating it: the
-/// update asks for invalidation, or carries no rule for the technique.
-/// Deleting is always safe; skipping the key would leave its cached value
-/// stale after the RDBMS commit.
 bool Quarantines(const KeyUpdate& u, Technique technique) {
   return u.invalidate ||
          (technique == Technique::kRefresh ? !u.refresh : !u.delta);
 }
+
+namespace {
 
 /// Bump the matching restart counter for a failed quarantine/lease request.
 void CountRestart(ClientQResult r, WriteOutcome* out) {

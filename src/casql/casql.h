@@ -102,6 +102,13 @@ struct KeyUpdate {
   bool invalidate = false;
 };
 
+/// Whether an IQ write under `technique` must quarantine `u` (QaReg, the
+/// key deleted at commit) instead of refreshing or delta-updating it: the
+/// update asks for invalidation, or carries no rule for the technique.
+/// Deleting is always safe; skipping the key would leave its cached value
+/// stale after the RDBMS commit.
+bool Quarantines(const KeyUpdate& u, Technique technique);
+
 /// A write session: one RDBMS transaction plus its impacted keys.
 struct WriteSpec {
   /// The transaction body. Return false to abort the session (e.g. a
@@ -141,6 +148,11 @@ class CasqlConnection {
 
   /// Write session per the configured technique/consistency/placement.
   WriteOutcome Write(const WriteSpec& spec);
+
+  /// Back-off level of this connection's session: the restarts so far of
+  /// the write in progress, or of the last write if it gave up (a commit
+  /// resets it).
+  int backoff_attempt() const { return session_->backoff_attempt(); }
 
  private:
   friend class CasqlSystem;

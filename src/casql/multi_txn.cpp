@@ -10,15 +10,25 @@ MultiWriteOutcome ExecuteMultiTxn(CasqlSystem& system,
   KvsBackend& server = system.backend();
 
   IQClient client(server, system.config().client);
+  // One session for every attempt, so restart k backs off per attempt k.
+  auto iq_session = client.NewSession();
+  const std::size_t n = spec.updates.size();
+  // An update without a refresh rule is quarantined and deleted at commit.
+  std::vector<bool> quarantined(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    quarantined[i] = Quarantines(spec.updates[i], Technique::kRefresh);
+  }
   for (int attempt = 0; attempt < max_restarts; ++attempt) {
-    auto iq_session = client.NewSession();
-
     // Growing phase: every lease before the first transaction.
-    std::vector<std::optional<std::string>> olds(spec.updates.size());
+    std::vector<std::optional<std::string>> olds(n);
     bool conflict = false;
-    for (std::size_t i = 0; i < spec.updates.size(); ++i) {
-      if (iq_session->QaRead(spec.updates[i].key, olds[i]) ==
-          ClientQResult::kQConflict) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string& key = spec.updates[i].key;
+      // A transport error means the lease is not held: restart as for a
+      // conflict.
+      if ((quarantined[i] ? iq_session->Quarantine(key)
+                          : iq_session->QaRead(key, olds[i])) !=
+          ClientQResult::kGranted) {
         conflict = true;
         break;
       }
@@ -69,9 +79,11 @@ MultiWriteOutcome ExecuteMultiTxn(CasqlSystem& system,
       // Mid-sequence failure after some commits: the cached values can no
       // longer be refreshed consistently, so fall back to deleting them -
       // a delete is always safe and readers recompute from the database.
-      for (const auto& u : spec.updates) {
-        iq_session->SaR(u.key, std::nullopt);  // release without writing
-        server.DeleteVoid(u.key);
+      // Commit deletes the quarantined keys.
+      for (std::size_t i = 0; i < n; ++i) {
+        if (quarantined[i]) continue;
+        iq_session->SaR(spec.updates[i].key, std::nullopt);  // release only
+        server.DeleteVoid(spec.updates[i].key);
       }
       iq_session->Commit();
       out.degraded_to_invalidate = true;
@@ -79,14 +91,14 @@ MultiWriteOutcome ExecuteMultiTxn(CasqlSystem& system,
     }
 
     // Shrinking phase: apply every refresh after the LAST commit.
-    for (std::size_t i = 0; i < spec.updates.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (quarantined[i]) continue;
       const auto& u = spec.updates[i];
-      std::optional<std::string> v_new =
-          u.refresh ? u.refresh(olds[i]) : std::nullopt;
+      std::optional<std::string> v_new = u.refresh(olds[i]);
       iq_session->SaR(u.key, v_new ? std::optional<std::string_view>(*v_new)
                                    : std::nullopt);
     }
-    iq_session->Commit();
+    iq_session->Commit();  // also deletes the quarantined keys
     out.committed = true;
     return out;
   }

@@ -31,14 +31,16 @@ struct MultiWriteSpec {
   /// the whole session.
   std::vector<std::function<bool(sql::Transaction&)>> bodies;
   /// Impacted keys, refreshed after the last commit (refresh callbacks are
-  /// applied to the values captured at lease-acquisition time).
+  /// applied to the values captured at lease-acquisition time). A key whose
+  /// update has no refresh callback, or asks for invalidation, is
+  /// quarantined instead and deleted at commit.
   std::vector<KeyUpdate> updates;
 };
 
 struct MultiWriteOutcome {
   bool committed = false;      // every transaction committed and KVS updated
   int transactions_run = 0;    // including retries
-  int q_restarts = 0;
+  int q_restarts = 0;  // lease requests refused or unreachable
   /// True when a mid-sequence failure forced the invalidation fallback.
   bool degraded_to_invalidate = false;
 };

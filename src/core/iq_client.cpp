@@ -215,7 +215,6 @@ void IQSession::Abort() {
   near_written_.clear();
   i_tokens_.clear();
   q_tokens_.clear();
-  backoff_attempt_ = 0;
 }
 
 void IQSession::DropLease(std::string_view key) {

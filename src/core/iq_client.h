@@ -127,15 +127,15 @@ class IQSession {
   void Abort();
 
   /// Sleep per the client's back-off policy; increments the attempt counter
-  /// so repeated calls wait longer. Reset by Commit/Abort. Returns the delay
+  /// so repeated calls wait longer. Reset by Commit, not by Abort: a write
+  /// that aborts and restarts k times waits per attempt k. Returns the delay
   /// drawn (the requested sleep, not the measured one).
   Nanos Backoff();
 
-  /// Reset the back-off escalation to base delay. Commit/Abort do this
-  /// implicitly; callers that recycle a session across logical restarts
-  /// without either (e.g. a baseline write loop that only ever calls
-  /// Backoff()) must reset explicitly, or the counter escalates forever
-  /// and every later conflict waits the cap delay.
+  /// Reset the back-off escalation to base delay. Commit does this
+  /// implicitly; a caller that reuses one session for many logical writes
+  /// resets at the start of each, or a write that ended in Abort (or in
+  /// no lifecycle call at all) leaves the next one waiting the cap delay.
   void ResetBackoff() { backoff_attempt_ = 0; }
 
   /// Current back-off escalation level (0 = next Backoff waits base delay).

@@ -15,14 +15,22 @@ constexpr std::uint32_t kOptOversize = 0xFFFFFFFFu;
 /// Optimistic readers give up after this many slots and fall back.
 constexpr std::size_t kOptMaxProbes = 32;
 constexpr std::size_t kOptInitialCapacity = 256;
-/// Mirror records carved from each slab allocation.
+/// Mirror records carved from each slab allocation (one size class).
 constexpr std::size_t kOptSlabEntries = 32;
 /// Cache lines Prefetch() pulls per mirror: the header and key, and the
-/// start of the value.
+/// start of the value. Lines past a smaller record are a harmless hint.
 constexpr std::size_t kOptPrefetchLines = 3;
+/// Records span whole cache lines.
+constexpr std::size_t kOptLine = 64;
 
 /// Words holding `n` bytes; the value words start this far after the key's.
 constexpr std::size_t WordsFor(std::size_t n) { return (n + 7) / 8; }
+
+/// Lines of a record whose header is `header` bytes and that holds `words`
+/// key and value words.
+constexpr std::size_t LinesFor(std::size_t header, std::size_t words) {
+  return (header + 8 * words + kOptLine - 1) / kOptLine;
+}
 
 /// splitmix64 finalizer. Shard selection consumes the raw hash modulo the
 /// shard count, so within one shard every key agrees on those low bits;
@@ -40,6 +48,12 @@ std::uint64_t MixHash(std::uint64_t h) {
 template <typename E>
 E* Tomb() {
   return reinterpret_cast<E*>(static_cast<std::uintptr_t>(1));
+}
+
+/// A record's size class: its lines, less one.
+template <typename E>
+std::size_t ClassOf(const E& e) {
+  return LinesFor(sizeof(E), e.words_cap) - 1;
 }
 
 /// Seqlock writer brackets (see the OptEntry comment in kvs.h). SeqBegin on
@@ -95,9 +109,8 @@ CacheStore::CacheStore(Config config)
                             ? config.memory_budget_bytes / config.shard_count
                             : 0),
       opt_val_cap_(config.optimistic_value_cap),
-      opt_entry_bytes_((sizeof(OptEntry) +
-                        8 * (WordsFor(kOptKeyCap) + WordsFor(opt_val_cap_)) +
-                        63) / 64 * 64),
+      opt_max_lines_(LinesFor(sizeof(OptEntry), WordsFor(kOptKeyCap) +
+                                                      WordsFor(opt_val_cap_))),
       shards_(config.shard_count > 0 ? config.shard_count : 1),
       opt_counters_(std::make_unique<OptCounters[]>(kThreadSlots)) {
   for (auto& s : shards_) {
@@ -138,40 +151,85 @@ bool CacheStore::ExpiredLocked(Shard&, const Item& item) const {
 
 // ---- optimistic-mirror maintenance (all under the shard lock) --------------
 
-CacheStore::OptEntry* CacheStore::OptAllocLocked(Shard& s) {
-  if (!s.opt_free.empty()) {
-    OptEntry* e = s.opt_free.back();
-    s.opt_free.pop_back();
+std::size_t CacheStore::OptClassFor(std::size_t key_len,
+                                    std::size_t val_len) const {
+  const std::size_t words =
+      WordsFor(key_len) + (val_len <= opt_val_cap_ ? WordsFor(val_len) : 0);
+  return LinesFor(sizeof(OptEntry), words) - 1;
+}
+
+CacheStore::OptEntry* CacheStore::OptAllocLocked(Shard& s, std::size_t cls) {
+  if (cls >= s.opt_classes.size()) s.opt_classes.resize(cls + 1);
+  OptClass& c = s.opt_classes[cls];
+  if (!c.free.empty()) {
+    OptEntry* e = c.free.back();
+    c.free.pop_back();
     return e;
   }
-  if (s.opt_slab_unused == 0) {
-    s.opt_slabs.emplace_back(static_cast<std::byte*>(::operator new[](
-        kOptSlabEntries * opt_entry_bytes_, std::align_val_t{64})));
-    s.opt_slab_unused = kOptSlabEntries;
+  const std::size_t bytes = (cls + 1) * kOptLine;
+  if (c.unused == 0) {
+    s.opt_slabs.emplace_back(static_cast<std::byte*>(
+        ::operator new[](kOptSlabEntries * bytes, std::align_val_t{64})));
+    c.carve = s.opt_slabs.back().get();
+    c.unused = kOptSlabEntries;
   }
-  std::byte* at = s.opt_slabs.back().get() +
-                  (kOptSlabEntries - s.opt_slab_unused--) * opt_entry_bytes_;
-  auto* e = new (at) OptEntry();
-  const std::size_t words = (opt_entry_bytes_ - sizeof(OptEntry)) / 8;
+  std::byte* at = c.carve;
+  c.carve += bytes;
+  --c.unused;
+  const std::size_t words = (bytes - sizeof(OptEntry)) / 8;
+  auto* e = new (at) OptEntry(static_cast<std::uint32_t>(words));
   for (std::size_t i = 0; i < words; ++i) {
     new (at + sizeof(OptEntry) + 8 * i) std::atomic<std::uint64_t>(0);
   }
   return e;
 }
 
+void CacheStore::OptRetireLocked(Shard& s, OptEntry* e) {
+  // Leave the version odd: a reader holding this pointer (directly or via a
+  // retired table) can never validate, even after the entry is recycled.
+  SeqBegin(*e);
+  const std::size_t cls = ClassOf(*e);
+  s.opt_classes[cls].free.push_back(e);
+}
+
+void CacheStore::OptReplaceSlotLocked(Shard& s, OptEntry* from, OptEntry* to) {
+  OptTable* t = s.opt_table.load(std::memory_order_relaxed);
+  const std::uint64_t h = from->key_hash.load(std::memory_order_relaxed);
+  for (std::uint64_t i = MixHash(h), n = 0; n < t->capacity; ++i, ++n) {
+    auto& slot = t->slots[i & t->mask];
+    OptEntry* cur = slot.load(std::memory_order_relaxed);
+    if (cur == from) {
+      if (to == nullptr) {
+        to = Tomb<OptEntry>();
+        ++s.opt_tombs;
+      }
+      slot.store(to, std::memory_order_release);
+      return;
+    }
+    if (cur == nullptr) return;  // defensive; CheckInvariants would flag this
+  }
+}
+
 void CacheStore::OptUpsertLocked(Shard& s, const std::string& key, Item& item) {
   if (opt_val_cap_ == 0 || key.size() > kOptKeyCap) return;
-  OptEntry* e = item.opt;
-  const bool fresh = (e == nullptr);
-  if (fresh) {
-    e = OptAllocLocked(s);
-    e->referenced.store(0, std::memory_order_relaxed);
+  const std::size_t cls = OptClassFor(key.size(), item.value.size());
+  OptEntry* old = item.opt;
+  OptEntry* e = old;
+  if (old == nullptr || ClassOf(*old) != cls) {
+    // New item, or the data changed size class: write a fresh record of
+    // the right class, then publish it in place of the old one (if any),
+    // which is retired first so no reader can validate its stale value.
+    if (old != nullptr) OptRetireLocked(s, old);
+    e = OptAllocLocked(s, cls);
+    e->referenced.store(
+        old != nullptr ? old->referenced.load(std::memory_order_relaxed) : 0,
+        std::memory_order_relaxed);
     item.opt = e;
   }
   const std::uint64_t h = HashKey(key);
   SeqBegin(*e);
   e->key_hash.store(h, std::memory_order_relaxed);
-  e->key_len.store(static_cast<std::uint32_t>(key.size()),
+  e->key_len.store(static_cast<std::uint16_t>(key.size()),
                    std::memory_order_relaxed);
   StoreWords(e->words(), key);
   if (item.value.size() <= opt_val_cap_) {
@@ -185,45 +243,33 @@ void CacheStore::OptUpsertLocked(Shard& s, const std::string& key, Item& item) {
   e->cas.store(item.cas, std::memory_order_relaxed);
   e->expires_at.store(item.expires_at, std::memory_order_relaxed);
   SeqEnd(*e);
-  if (fresh) {
-    OptEnsureCapacityLocked(s);
-    OptTable* t = s.opt_table.load(std::memory_order_relaxed);
-    OptEntry* tomb = Tomb<OptEntry>();
-    for (std::uint64_t i = MixHash(h);; ++i) {
-      auto& slot = t->slots[i & t->mask];
-      OptEntry* cur = slot.load(std::memory_order_relaxed);
-      if (cur == nullptr || cur == tomb) {
-        if (cur == tomb) --s.opt_tombs;
-        slot.store(e, std::memory_order_release);
-        break;
-      }
-    }
-    ++s.opt_live;
+  if (e == old) return;
+  if (old != nullptr) {
+    OptReplaceSlotLocked(s, old, e);
+    return;
   }
+  OptEnsureCapacityLocked(s);
+  OptTable* t = s.opt_table.load(std::memory_order_relaxed);
+  OptEntry* tomb = Tomb<OptEntry>();
+  for (std::uint64_t i = MixHash(h);; ++i) {
+    auto& slot = t->slots[i & t->mask];
+    OptEntry* cur = slot.load(std::memory_order_relaxed);
+    if (cur == nullptr || cur == tomb) {
+      if (cur == tomb) --s.opt_tombs;
+      slot.store(e, std::memory_order_release);
+      break;
+    }
+  }
+  ++s.opt_live;
 }
 
 void CacheStore::OptEraseLocked(Shard& s, Item& item) {
   OptEntry* e = item.opt;
   if (e == nullptr) return;
   item.opt = nullptr;
-  // Leave the version odd: a reader holding this pointer (directly or via a
-  // retired table) can never validate, even after the entry is recycled.
-  SeqBegin(*e);
-  OptTable* t = s.opt_table.load(std::memory_order_relaxed);
-  OptEntry* tomb = Tomb<OptEntry>();
-  const std::uint64_t h = e->key_hash.load(std::memory_order_relaxed);
-  for (std::uint64_t i = MixHash(h), n = 0; n < t->capacity; ++i, ++n) {
-    auto& slot = t->slots[i & t->mask];
-    OptEntry* cur = slot.load(std::memory_order_relaxed);
-    if (cur == e) {
-      slot.store(tomb, std::memory_order_release);
-      ++s.opt_tombs;
-      break;
-    }
-    if (cur == nullptr) break;  // defensive; CheckInvariants would flag this
-  }
+  OptRetireLocked(s, e);
+  OptReplaceSlotLocked(s, e, nullptr);
   --s.opt_live;
-  s.opt_free.push_back(e);
 }
 
 void CacheStore::OptEnsureCapacityLocked(Shard& s) {
@@ -258,14 +304,34 @@ void CacheStore::OptEnsureCapacityLocked(Shard& s) {
 void CacheStore::EraseLocked(Shard& s, ItemMap::iterator it) {
   OptEraseLocked(s, it->second);
   s.bytes -= ItemBytes(it->first, it->second.value);
-  s.lru.erase(it->second.lru_pos);
+  LruUnlinkLocked(s, it->second);
   if (s.camp) s.camp->OnErase(it->first);
   s.items.erase(it);
 }
 
+void CacheStore::LruLinkFrontLocked(Shard& s, Item& item) {
+  item.lru_prev = nullptr;
+  item.lru_next = s.lru_head;
+  if (s.lru_head != nullptr) {
+    s.lru_head->lru_prev = &item;
+  } else {
+    s.lru_tail = &item;
+  }
+  s.lru_head = &item;
+}
+
+void CacheStore::LruUnlinkLocked(Shard& s, Item& item) {
+  (item.lru_prev != nullptr ? item.lru_prev->lru_next : s.lru_head) =
+      item.lru_next;
+  (item.lru_next != nullptr ? item.lru_next->lru_prev : s.lru_tail) =
+      item.lru_prev;
+  item.lru_prev = item.lru_next = nullptr;
+}
+
 void CacheStore::BumpLruLocked(Shard& s, Item& item) {
-  // Relink the node in place: no allocation, and lru_pos stays valid.
-  s.lru.splice(s.lru.begin(), s.lru, item.lru_pos);
+  if (s.lru_head == &item) return;
+  LruUnlinkLocked(s, item);
+  LruLinkFrontLocked(s, item);
 }
 
 void CacheStore::TouchLocked(Shard& s, Item& item, const std::string& key) {
@@ -287,12 +353,8 @@ void CacheStore::EvictIfNeededLocked(Shard& s) {
         continue;
       }
     } else {
-      if (s.lru.empty()) break;
-      victim = s.items.find(s.lru.back());
-      if (victim == s.items.end()) {  // should not happen; keep lists in sync
-        s.lru.pop_back();
-        continue;
-      }
+      if (s.lru_tail == nullptr) break;
+      victim = s.items.find(*s.lru_tail->key);
     }
     OptEntry* e = victim->second.opt;
     if (second_chances > 0 && e != nullptr &&
@@ -350,8 +412,8 @@ void CacheStore::StoreLocked(Shard& s, std::string_view key,
     ins->second.cas = cas_counter_.fetch_add(1, std::memory_order_relaxed);
     ins->second.expires_at = expires;
     ins->second.cost = cost.value_or(1);
-    s.lru.push_front(ins->first);
-    ins->second.lru_pos = s.lru.begin();
+    ins->second.key = &ins->first;
+    LruLinkFrontLocked(s, ins->second);
     s.bytes += ItemBytes(ins->first, ins->second.value);
     if (s.camp) {
       s.camp->OnInsert(ins->first, ins->second.cost,
@@ -416,8 +478,12 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     // Pre-validation loads below may be torn; any decision they feed ends in
     // "keep probing" or "fall back to the locked path", never a wrong answer.
     if (e->key_hash.load(std::memory_order_relaxed) != h) continue;
-    const std::uint32_t klen = e->key_len.load(std::memory_order_relaxed);
+    const std::size_t klen = e->key_len.load(std::memory_order_relaxed);
     if (klen != key.size()) continue;
+    // A torn length could claim more words than the record holds: every
+    // copy stays within words_cap, and a misfit falls back.
+    const std::size_t cap = e->words_cap;
+    if (WordsFor(klen) > cap) continue;
     char kbuf[kOptKeyCap];
     LoadWords(e->words(), kbuf, klen);
     if (std::memcmp(kbuf, key.data(), klen) != 0) continue;
@@ -425,7 +491,8 @@ std::optional<CacheItem> CacheStore::OptimisticGet(std::string_view key,
     const std::uint32_t flags = e->flags.load(std::memory_order_relaxed);
     const std::uint64_t cas = e->cas.load(std::memory_order_relaxed);
     const Nanos expires = e->expires_at.load(std::memory_order_relaxed);
-    const bool oversize = vlen > opt_val_cap_;  // covers kOptOversize + tears
+    const bool oversize =  // covers kOptOversize and torn lengths
+        vlen > opt_val_cap_ || WordsFor(klen) + WordsFor(vlen) > cap;
     CacheItem out;
     if (!oversize) {
       out.value.resize(vlen);
@@ -474,13 +541,15 @@ void CacheStore::Prefetch(std::span<const std::string_view> keys) const {
     __builtin_prefetch(slots[i]);
   }
   const OptEntry* tomb = Tomb<OptEntry>();
-  const std::size_t lines = std::min(kOptPrefetchLines, opt_entry_bytes_ / 64);
+  const std::size_t lines = std::min(kOptPrefetchLines, opt_max_lines_);
   for (std::size_t i = 0; i < n; ++i) {
     if (slots[i] == nullptr) continue;
     const OptEntry* e = slots[i]->load(std::memory_order_acquire);
     if (e == nullptr || e == tomb) continue;
     const char* line = reinterpret_cast<const char*>(e);
-    for (std::size_t l = 0; l < lines; ++l) __builtin_prefetch(line + 64 * l);
+    for (std::size_t l = 0; l < lines; ++l) {
+      __builtin_prefetch(line + kOptLine * l);
+    }
   }
 }
 
@@ -622,8 +691,7 @@ void CacheStore::Flush() {
       // Kill every mirror before dropping items.
       for (auto& [key, item] : s.items) {
         if (item.opt != nullptr) {
-          SeqBegin(*item.opt);  // leave odd = dead
-          s.opt_free.push_back(item.opt);
+          OptRetireLocked(s, item.opt);
           item.opt = nullptr;
         }
       }
@@ -635,7 +703,7 @@ void CacheStore::Flush() {
       s.opt_tombs = 0;
     }
     s.items.clear();
-    s.lru.clear();
+    s.lru_head = s.lru_tail = nullptr;
     s.bytes = 0;
     // Without this, CAMP keeps ghost entries for flushed keys and its
     // victim choices (and Size accounting) drift from the live store.
@@ -690,16 +758,25 @@ std::string CacheStore::CheckInvariants() {
       return where + "bytes accounting drift: counted " + std::to_string(bytes) +
              " recorded " + std::to_string(s.bytes);
     }
-    if (s.lru.size() != s.items.size()) {
-      return where + "lru size " + std::to_string(s.lru.size()) +
-             " != item count " + std::to_string(s.items.size());
-    }
-    for (const auto& key : s.lru) {
-      auto it = s.items.find(key);
-      if (it == s.items.end()) return where + "lru ghost key '" + key + "'";
-      if (&*it->second.lru_pos != &key) {
-        return where + "lru_pos desync for '" + key + "'";
+    // Walk the intrusive LRU list; a cycle or a stray link stops the walk
+    // at items.size() + 1 nodes.
+    std::size_t linked = 0;
+    const Item* prev = nullptr;
+    for (const Item* n = s.lru_head; n != nullptr && linked <= s.items.size();
+         prev = n, n = n->lru_next, ++linked) {
+      if (n->lru_prev != prev) return where + "lru back link broken";
+      if (n->key == nullptr) return where + "lru node without a key";
+      auto it = s.items.find(*n->key);
+      if (it == s.items.end()) {
+        return where + "lru ghost key '" + *n->key + "'";
       }
+      if (&it->second != n || n->key != &it->first) {
+        return where + "lru node desync for '" + *n->key + "'";
+      }
+    }
+    if (linked != s.items.size() || s.lru_tail != prev) {
+      return where + "lru walk visits " + std::to_string(linked) +
+             " nodes, store has " + std::to_string(s.items.size());
     }
     if (s.camp && s.camp->Size() != s.items.size()) {
       return where + "camp tracks " + std::to_string(s.camp->Size()) +
@@ -724,6 +801,9 @@ std::string CacheStore::CheckInvariants() {
         if (e->cas.load(std::memory_order_relaxed) != item.cas) {
           return where + "mirror cas drift for '" + key + "'";
         }
+        if (ClassOf(*e) != OptClassFor(key.size(), item.value.size())) {
+          return where + "mirror for '" + key + "' is not in its size class";
+        }
         const std::uint32_t vlen = e->val_len.load(std::memory_order_relaxed);
         if (item.value.size() <= opt_val_cap_) {
           if (vlen != item.value.size()) {
@@ -742,6 +822,16 @@ std::string CacheStore::CheckInvariants() {
         return where + "opt_live " + std::to_string(s.opt_live) +
                " != mirrored items " + std::to_string(mirrored);
       }
+      for (std::size_t cls = 0; cls < s.opt_classes.size(); ++cls) {
+        for (const OptEntry* e : s.opt_classes[cls].free) {
+          if ((e->version.load(std::memory_order_relaxed) & 1) == 0) {
+            return where + "free record is not odd";
+          }
+          if (ClassOf(*e) != cls) {
+            return where + "free record on the wrong class list";
+          }
+        }
+      }
       OptTable* t = s.opt_table.load(std::memory_order_relaxed);
       std::size_t slots_live = 0, slots_tomb = 0;
       for (std::size_t i = 0; i < t->capacity; ++i) {
@@ -749,6 +839,9 @@ std::string CacheStore::CheckInvariants() {
         if (e == tomb) {
           ++slots_tomb;
         } else if (e != nullptr) {
+          if (e->version.load(std::memory_order_relaxed) & 1) {
+            return where + "index slot points at a dead record";
+          }
           ++slots_live;
         }
       }

@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -200,9 +199,10 @@ class CacheStore {
   CacheStats Stats() const;
 
   /// Structural self-check, taking each shard lock in turn: per-shard byte
-  /// accounting (shard.bytes == Σ ItemBytes over live items), LRU/items
-  /// agreement, CAMP tracking exactly the live items, and every short-key
-  /// item owning a live, value-consistent optimistic mirror. Returns an
+  /// accounting (shard.bytes == Σ ItemBytes over live items), an LRU walk
+  /// that visits every item exactly once, CAMP tracking exactly the live
+  /// items, every short-key item owning a live, value-consistent mirror of
+  /// the size class its data needs, and every free record dead. Returns an
   /// empty string when consistent, else a description of the first
   /// violation. Meant for tests and debug assertions, not the hot path.
   std::string CheckInvariants();
@@ -255,13 +255,13 @@ class CacheStore {
   // ---- optimistic-read machinery (see DESIGN.md §4.6) -------------------
   //
   // OptEntry is the seqlock-versioned mirror of one live item. Entries are
-  // carved from per-shard slabs and NEVER freed while the store lives (erased
-  // entries go to a free list and are recycled), so a lock-free reader can
-  // always dereference a pointer it loaded from the index: at worst the
-  // entry now describes a different key or a write in progress, which the
-  // version validation rejects. Every field is an atomic accessed relaxed
-  // under the seqlock fences, keeping the protocol TSan-clean (same idiom
-  // as util/trace_ring.h).
+  // carved from per-shard, per-class slabs and NEVER freed while the store
+  // lives (erased or outgrown entries go to their class's free list and are
+  // recycled), so a lock-free reader can always dereference a pointer it
+  // loaded from the index: at worst the entry now describes a different key
+  // or a write in progress, which the version validation rejects. Every
+  // mutable field is an atomic accessed relaxed under the seqlock fences,
+  // keeping the protocol TSan-clean (same idiom as util/trace_ring.h).
   //
   // Version protocol: even = stable, odd = writer in progress or dead.
   //   writer (under the shard lock): version -> odd; release fence; store
@@ -273,16 +273,23 @@ class CacheStore {
   //
   // An entry is one record: this header, then the key, then the value from
   // the word after the key, packed into 64-bit words so the copy is a few
-  // relaxed word ops instead of per-byte atomics.
+  // relaxed word ops instead of per-byte atomics. A record spans whole
+  // 64-byte lines; its size class (1 to 6 lines at the default value cap)
+  // is the fewest lines that hold its key and value words. `words_cap` is
+  // fixed when the slab is carved, before any reader can reach the record,
+  // and bounds every copy a reader makes.
   struct OptEntry {
+    explicit OptEntry(std::uint32_t cap) : words_cap(cap) {}
+
     std::atomic<std::uint64_t> version{0};
     std::atomic<std::uint64_t> key_hash{0};
-    std::atomic<std::uint32_t> key_len{0};
+    const std::uint32_t words_cap;  // key + value words the record holds
     std::atomic<std::uint32_t> val_len{0};  // kOptOversize: value > cap
     std::atomic<std::uint32_t> flags{0};
+    std::atomic<std::uint16_t> key_len{0};
     /// CLOCK reference bit, outside the seqlock: an optimistic hit stores 1
     /// if it reads 0; eviction clears it and spares the item once.
-    std::atomic<std::uint32_t> referenced{0};
+    std::atomic<std::uint8_t> referenced{0};
     std::atomic<std::uint64_t> cas{0};
     std::atomic<std::int64_t> expires_at{0};
 
@@ -292,7 +299,7 @@ class CacheStore {
           reinterpret_cast<std::atomic<std::uint64_t>*>(this + 1));
     }
   };
-  // The reference bit sits in what was padding after `flags`.
+  static_assert(kOptKeyCap <= 0xFFFF);
   static_assert(sizeof(OptEntry) == 48 && alignof(OptEntry) == 8);
 
   /// Lock-free-readable open-addressing index: hash -> OptEntry*. Writers
@@ -312,6 +319,9 @@ class CacheStore {
     std::unique_ptr<std::atomic<OptEntry*>[]> slots;
   };
 
+  /// A live item. The LRU list is threaded through the items themselves:
+  /// map nodes never move, so the links and the key pointer stay valid
+  /// until the item is erased.
   struct Item {
     std::string value;
     std::uint32_t flags = 0;
@@ -320,7 +330,9 @@ class CacheStore {
     /// Recomputation cost recorded at Set; preserved across cas/append/
     /// prepend/incr/decr so CAMP's priority never silently degrades.
     std::uint64_t cost = 1;
-    std::list<std::string>::iterator lru_pos;
+    Item* lru_prev = nullptr;  // toward the most recent end
+    Item* lru_next = nullptr;  // toward the least recent end
+    const std::string* key = nullptr;  // this item's key in its map node
     OptEntry* opt = nullptr;  // mirror, or nullptr (long key / disabled)
   };
 
@@ -335,10 +347,19 @@ class CacheStore {
   };
   using Slab = std::unique_ptr<std::byte[], SlabDeleter>;
 
+  /// One record size class of one shard: the slab being carved and the
+  /// recycled records, all of this class's size.
+  struct OptClass {
+    std::byte* carve = nullptr;  // next record in the newest slab
+    std::size_t unused = 0;      // records left to carve there
+    std::vector<OptEntry*> free;
+  };
+
   struct Shard {
     mutable std::mutex mu;
     ItemMap items;
-    std::list<std::string> lru;  // front = most recent (LRU policy)
+    Item* lru_head = nullptr;  // most recent (LRU policy)
+    Item* lru_tail = nullptr;  // least recent: the next LRU victim
     std::unique_ptr<CampPolicy> camp;  // non-null iff eviction == kCamp
     std::size_t bytes = 0;
     CacheStats stats;  // guarded by mu
@@ -347,9 +368,8 @@ class CacheStore {
     // lock-free; everything is written only under mu.
     std::atomic<OptTable*> opt_table{nullptr};
     std::vector<std::unique_ptr<OptTable>> opt_tables;  // current + retired
-    std::vector<Slab> opt_slabs;       // own every entry
-    std::size_t opt_slab_unused = 0;   // entries never handed out, last slab
-    std::vector<OptEntry*> opt_free;   // recycled entries
+    std::vector<Slab> opt_slabs;          // own every record, all classes
+    std::vector<OptClass> opt_classes;    // index = lines - 1, grown on use
     std::size_t opt_live = 0;   // entries reachable through the index
     std::size_t opt_tombs = 0;  // tombstoned slots in the current table
   };
@@ -367,6 +387,8 @@ class CacheStore {
 
   bool ExpiredLocked(Shard& s, const Item& item) const;
   void EraseLocked(Shard& s, ItemMap::iterator it);
+  void LruLinkFrontLocked(Shard& s, Item& item);
+  void LruUnlinkLocked(Shard& s, Item& item);
   void BumpLruLocked(Shard& s, Item& item);
   void TouchLocked(Shard& s, Item& item, const std::string& key);
   void StoreLocked(Shard& s, std::string_view key, std::string_view value,
@@ -387,7 +409,14 @@ class CacheStore {
   ItemMap::iterator FindLive(Shard& s, std::string_view key);
 
   // Optimistic-mirror maintenance; all run under the shard lock.
-  OptEntry* OptAllocLocked(Shard& s);
+  /// The size class (lines - 1) whose records hold `key_len` key bytes
+  /// and the value of `val_len` bytes (just the key when it is oversize).
+  std::size_t OptClassFor(std::size_t key_len, std::size_t val_len) const;
+  OptEntry* OptAllocLocked(Shard& s, std::size_t cls);
+  /// Kill `e` (left odd) and put it on its class's free list.
+  void OptRetireLocked(Shard& s, OptEntry* e);
+  /// Point the index slot holding `from` at `to` (nullptr: tombstone it).
+  void OptReplaceSlotLocked(Shard& s, OptEntry* from, OptEntry* to);
   void OptUpsertLocked(Shard& s, const std::string& key, Item& item);
   void OptEraseLocked(Shard& s, Item& item);
   void OptEnsureCapacityLocked(Shard& s);
@@ -396,8 +425,8 @@ class CacheStore {
   const Clock& clock_;
   std::size_t per_shard_budget_;
   std::size_t opt_val_cap_;    // 0 = optimistic reads disabled
-  std::size_t opt_entry_bytes_;  // header + longest key + largest value,
-                                 // rounded up to a cache line
+  std::size_t opt_max_lines_;  // lines in the largest record: header +
+                               // longest key + largest value
   std::vector<Shard> shards_;
   std::unique_ptr<OptCounters[]> opt_counters_;  // kThreadSlots of them
   std::atomic<std::uint64_t> cas_counter_{1};

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/fault_backend.h"
 #include "core/iq_server.h"
 #include "casql/casql.h"
 
@@ -340,6 +341,38 @@ TEST_F(CasqlTest, QLeaseConflictRestartsAndEventuallySucceeds) {
   EXPECT_TRUE(out.committed);
   EXPECT_GE(out.q_restarts, 1);
   EXPECT_EQ(server_.store().Get("K")->value, "150");
+}
+
+TEST_F(CasqlTest, RestartsAgainstADownBackendEscalateTheirBackoff) {
+  // Every lease request fails while the backend is down, so each attempt
+  // aborts and restarts; restart k must wait per attempt k, not the base
+  // delay every time. Restarts are bounded by config, not by a clock.
+  constexpr int kRestarts = 12;
+  FaultBackend down(server_);
+  for (Technique t : {Technique::kInvalidate, Technique::kRefresh,
+                      Technique::kIncremental}) {
+    for (LeasePlacement p :
+         {LeasePlacement::kPriorToTxn, LeasePlacement::kInsideTxn}) {
+      CasqlConfig cfg = Config(t, Consistency::kIQ, p);
+      cfg.max_session_restarts = kRestarts;
+      cfg.client.backoff_base = kNanosPerMicro;
+      cfg.client.backoff_cap = 4 * kNanosPerMicro;
+      CasqlSystem system(db_, down, cfg);
+      auto conn = system.Connect();
+      down.SetDown(true);
+      const std::int64_t before = DbValue();
+      auto out = conn->Write(AddSpec(+1));
+      EXPECT_FALSE(out.committed);
+      EXPECT_EQ(out.transport_restarts, kRestarts);
+      EXPECT_EQ(conn->backoff_attempt(), kRestarts) << ToString(t);
+      EXPECT_EQ(DbValue(), before);
+      // Back up: the next write starts over at the base delay and commits.
+      down.SetDown(false);
+      EXPECT_TRUE(conn->Write(AddSpec(+1)).committed);
+      EXPECT_EQ(conn->backoff_attempt(), 0);
+      EXPECT_EQ(DbValue(), before + 1);
+    }
+  }
 }
 
 // ---- staleness auditor ---------------------------------------------------

@@ -568,6 +568,80 @@ TEST(CacheStore, OptimisticReadsUnderConcurrentWrites) {
   EXPECT_EQ(store.CheckInvariants(), "");
 }
 
+// ---- size-classed mirror records -------------------------------------------
+
+TEST(CacheStore, MirrorFollowsItsValueAcrossSizeClasses) {
+  // 8 -> 56 -> 120 -> 250 bytes climbs from a 1-line record to a 5-line
+  // one; 300 bytes is oversize (a key-only record); 8 bytes shrinks back.
+  CacheStore store;
+  for (std::size_t n : {8, 56, 120, 250, 300, 8}) {
+    const std::string value(n, static_cast<char>('a' + n % 26));
+    store.Set("step", value, static_cast<std::uint32_t>(n));
+    auto opt = store.OptimisticGet("step");
+    if (n <= 256) {
+      ASSERT_TRUE(opt) << n;
+      EXPECT_EQ(opt->value, value);
+      EXPECT_EQ(opt->flags, n);
+    } else {
+      EXPECT_FALSE(opt) << n;
+    }
+    auto item = store.Get("step");
+    ASSERT_TRUE(item) << n;
+    EXPECT_EQ(item->value, value);
+    EXPECT_EQ(store.CheckInvariants(), "") << n;
+  }
+  // Appends climb one class at a time.
+  std::string grown = "1";
+  store.Set("grow", grown);
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_EQ(store.Append("grow", "0123456"), StoreResult::kStored);
+    grown += "0123456";
+    ASSERT_EQ(store.OptimisticGet("grow")->value, grown) << i;
+    ASSERT_EQ(store.CheckInvariants(), "") << i;
+  }
+}
+
+TEST(CacheStore, OptimisticReadersRaceRecordsChangingClass) {
+  // One writer flips a key between a 1-line record (8-byte key, 8-byte
+  // value) and a 6-line one (280-byte value, under a raised value cap), so
+  // every write retires the key's record and publishes one of the other
+  // class. Every optimistic hit must be byte-exact one of the two values;
+  // TSan checks the retire-and-publish protocol.
+  CacheStore store({.shard_count = 1,
+                    .memory_budget_bytes = 0,
+                    .optimistic_value_cap = 320});
+  const std::string key = "flipflop";
+  const std::string small = "SMALL-01";
+  std::string large(280, 'L');
+  large.front() = '<';
+  large.back() = '>';
+  store.Set(key, small);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> hits{0};
+  std::atomic<std::uint64_t> bad_reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto item = store.OptimisticGet(key);
+        if (!item) continue;
+        hits.fetch_add(1, std::memory_order_relaxed);
+        if (item->value != small && item->value != large) {
+          bad_reads.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (int i = 0; i < 20000; ++i) store.Set(key, (i & 1) ? small : large);
+  // Let the readers see the final record too.
+  while (hits.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  stop.store(true);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_EQ(store.OptimisticGet(key)->value, small);
+  EXPECT_EQ(store.CheckInvariants(), "");
+}
+
 // ---- CLOCK second chance and per-thread hit counters ------------------------
 
 /// Presence without a touch: no LRU bump, no reference bit.

@@ -98,6 +98,34 @@ TEST_F(MultiTxnTest, TwoTxnSessionCommitsBothAndRefreshesCache) {
   EXPECT_EQ(server_.store().Get(Key(2))->value, "1100");
 }
 
+TEST_F(MultiTxnTest, UpdateWithoutRefreshIsDeletedAtCommit) {
+  // A delta-only update has no refresh rule, so the session must quarantine
+  // the key and delete it at commit; releasing it untouched would leave the
+  // pre-commit "1000" cached over a database row that now reads 1001.
+  WarmKeys();
+  ASSERT_EQ(server_.store().Get(Key(1))->value, "1000");
+  MultiWriteSpec spec;
+  spec.bodies.push_back(Adjust(1, +2));
+  spec.bodies.push_back(Adjust(1, -1));
+  KeyUpdate u;
+  u.key = Key(1);
+  u.delta = DeltaOp{DeltaOp::Kind::kIncr, {}, 1};
+  spec.updates.push_back(std::move(u));
+  auto out = ExecuteMultiTxn(*system_, spec);
+  ASSERT_TRUE(out.committed);
+  EXPECT_EQ(DbBalance(1), 1001);
+  EXPECT_FALSE(server_.store().Get(Key(1)));
+  EXPECT_FALSE(server_.LeaseOn(Key(1)));
+  auto conn = system_->Connect();
+  auto read = conn->Read(Key(1), [](Transaction& txn)
+                                     -> std::optional<std::string> {
+    auto row = txn.SelectByPk("Accounts", {V(1)});
+    if (!row) return std::nullopt;
+    return std::to_string(*sql::AsInt((*row)[1]));
+  });
+  EXPECT_EQ(read.value, "1001");
+}
+
 TEST_F(MultiTxnTest, LeasesSpanBothTransactions) {
   WarmKeys();
   MultiWriteSpec spec = TransferSpec(50);
