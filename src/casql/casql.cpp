@@ -234,13 +234,7 @@ WriteOutcome CasqlConnection::Write(const WriteSpec& spec) {
   // Restart k of this write waits per attempt k (Abort keeps the count), so
   // the count starts over here rather than leaking in from the last write.
   session_->ResetBackoff();
-  if (system_.config_.consistency == Consistency::kIQ) {
-    switch (system_.config_.technique) {
-      case Technique::kInvalidate: return WriteIQInvalidate(spec);
-      case Technique::kRefresh: return WriteIQRefresh(spec);
-      case Technique::kIncremental: return WriteIQIncremental(spec);
-    }
-  }
+  if (system_.config_.consistency == Consistency::kIQ) return WriteIQ(spec);
   return WriteBaseline(spec);
 }
 
@@ -361,242 +355,103 @@ WriteOutcome CasqlConnection::WriteBaseline(const WriteSpec& spec) {
 }
 
 bool Quarantines(const KeyUpdate& u, Technique technique) {
-  return u.invalidate ||
+  return technique == Technique::kInvalidate || u.invalidate ||
          (technique == Technique::kRefresh ? !u.refresh : !u.delta);
 }
 
-namespace {
-
-/// Bump the matching restart counter for a failed quarantine/lease request.
-void CountRestart(ClientQResult r, WriteOutcome* out) {
-  if (r == ClientQResult::kQConflict) {
-    ++out->q_restarts;
-  } else {
-    ++out->transport_restarts;
-  }
-}
-
-}  // namespace
-
-WriteOutcome CasqlConnection::WriteIQInvalidate(const WriteSpec& spec) {
-  WriteOutcome out;
-  const CasqlConfig& cfg = system_.config_;
-  for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
-    // QaReg is always granted by a reachable server (Figure 5a), so
-    // placement only changes when the quarantine window opens. A transport
-    // error means the quarantine is NOT in place: abort and retry —
-    // committing the RDBMS txn anyway would leave the cached value
-    // permanently stale, the exact anomaly the framework exists to prevent.
-    ClientQResult q = ClientQResult::kGranted;
-    if (cfg.placement == LeasePlacement::kPriorToTxn) {
-      for (const auto& u : spec.updates) {
-        q = session_->Quarantine(u.key);
-        if (q != ClientQResult::kGranted) break;
-        LogKeyOp(check::OpKind::kInval, u.key);
-      }
-      if (q != ClientQResult::kGranted) {
-        session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
-        CountRestart(q, &out);
-        session_->Backoff();
-        continue;
-      }
-    }
-    auto txn = system_.db_.Begin();
-    bool ok = spec.body(*txn);
-    if (txn->state() == sql::Transaction::State::kAborted) {
-      session_->Abort();
-      LogSessionEnd(check::OpKind::kAbort);
-      ++out.rdbms_restarts;
-      session_->Backoff();
-      continue;
-    }
-    if (!ok) {
-      txn->Rollback();
-      session_->Abort();  // leaves current versions in the KVS
-      LogSessionEnd(check::OpKind::kAbort);
-      return out;
-    }
-    if (cfg.placement == LeasePlacement::kInsideTxn) {
-      for (const auto& u : spec.updates) {
-        q = session_->Quarantine(u.key);
-        if (q != ClientQResult::kGranted) break;
-        LogKeyOp(check::OpKind::kInval, u.key);
-      }
-      if (q != ClientQResult::kGranted) {
-        txn->Rollback();
-        session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
-        CountRestart(q, &out);
-        session_->Backoff();
-        continue;
-      }
-    }
-    txn->Commit();
-    // Past this point failures are tolerable: the quarantines are in place,
-    // so even if this DaR never reaches the server the Q leases expire and
-    // delete the keys — the KVS stays a subset of the RDBMS.
-    session_->Commit();  // DaR: delete quarantined keys, release Q leases
-    LogSessionEnd(check::OpKind::kCommit);
-    out.committed = true;
-    return out;
-  }
-  return out;
-}
-
-WriteOutcome CasqlConnection::WriteIQRefresh(const WriteSpec& spec) {
-  WriteOutcome out;
-  const CasqlConfig& cfg = system_.config_;
-  const std::size_t n = spec.updates.size();
-  std::vector<bool> quarantined(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    quarantined[i] = Quarantines(spec.updates[i], Technique::kRefresh);
-  }
-  for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
-    std::vector<std::optional<std::string>> olds(n);
-    std::vector<std::optional<std::string>> news(n);
-    std::unique_ptr<sql::Transaction> txn;
-
-    if (cfg.placement == LeasePlacement::kInsideTxn) {
-      txn = system_.db_.Begin();
-      if (!spec.body(*txn) ||
-          txn->state() == sql::Transaction::State::kAborted) {
-        bool conflicted = txn->state() == sql::Transaction::State::kAborted;
-        txn->Rollback();
-        session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
-        if (!conflicted) return out;
-        ++out.rdbms_restarts;
-        session_->Backoff();
-        continue;
-      }
-    }
-
-    ClientQResult q = ClientQResult::kGranted;
-    for (std::size_t i = 0; i < n; ++i) {
-      q = quarantined[i] ? session_->Quarantine(spec.updates[i].key)
-                         : session_->QaRead(spec.updates[i].key, olds[i]);
-      if (q != ClientQResult::kGranted) break;
-      if (quarantined[i]) {
-        LogKeyOp(check::OpKind::kInval, spec.updates[i].key);
-      } else {
+ClientQResult CasqlConnection::AcquireLeases(
+    const std::vector<KeyUpdate>& updates, Technique technique,
+    std::vector<std::optional<std::string>>& olds) {
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const KeyUpdate& u = updates[i];
+    ClientQResult q;
+    if (Quarantines(u, technique)) {
+      // QaReg is granted by any reachable server (Figure 5a). A transport
+      // error means the quarantine is NOT in place, so the caller must not
+      // commit: the cached value would stay stale for good.
+      q = session_->Quarantine(u.key);
+      if (q == ClientQResult::kGranted) LogKeyOp(check::OpKind::kInval, u.key);
+    } else if (technique == Technique::kRefresh) {
+      q = session_->QaRead(u.key, olds[i]);
+      if (q == ClientQResult::kGranted) {
         LogOp(olds[i] ? check::OpKind::kReadHit : check::OpKind::kReadMiss,
-              spec.updates[i].key, olds[i]);
+              u.key, olds[i]);
       }
+    } else {
+      q = session_->Delta(u.key, *u.delta);
+      if (q == ClientQResult::kGranted) LogKeyOp(check::OpKind::kDelta, u.key);
     }
-    if (q != ClientQResult::kGranted) {
-      // Figure 5b: release every lease, roll back the RDBMS transaction,
-      // back off, restart the whole session. A transport error takes the
-      // same path — the Q lease may not be held, so committing would race
-      // unprotected against concurrent readers.
-      if (txn) txn->Rollback();
-      session_->Abort();
-      LogSessionEnd(check::OpKind::kAbort);
-      CountRestart(q, &out);
-      session_->Backoff();
-      continue;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!quarantined[i]) news[i] = spec.updates[i].refresh(olds[i]);
-    }
-
-    if (cfg.placement == LeasePlacement::kPriorToTxn) {
-      txn = system_.db_.Begin();
-      if (!spec.body(*txn) ||
-          txn->state() == sql::Transaction::State::kAborted) {
-        bool conflicted = txn->state() == sql::Transaction::State::kAborted;
-        txn->Rollback();
-        session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
-        if (!conflicted) return out;
-        ++out.rdbms_restarts;
-        session_->Backoff();
-        continue;
-      }
-    }
-
-    txn->Commit();
-    // Post-RDBMS-commit failures are tolerable: every impacted key holds a
-    // Q lease, and an unreleased Q lease expires server-side and deletes
-    // the key — stale values cannot survive a lost SaR/Commit.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (quarantined[i]) continue;
-      auto v = news[i] ? std::optional<std::string_view>(*news[i])
-                       : std::nullopt;
-      // Write intent BEFORE the install (check/oplog.h soundness rule).
-      if (news[i]) LogOp(check::OpKind::kWrite, spec.updates[i].key, news[i]);
-      session_->SaR(spec.updates[i].key, v);
-    }
-    session_->Commit();  // also deletes any quarantined (invalidate) keys
-    LogSessionEnd(check::OpKind::kCommit);
-    out.committed = true;
-    return out;
+    if (q != ClientQResult::kGranted) return q;
   }
-  return out;
+  return ClientQResult::kGranted;
 }
 
-WriteOutcome CasqlConnection::WriteIQIncremental(const WriteSpec& spec) {
+void CasqlConnection::CommitLeases(
+    const std::vector<KeyUpdate>& updates, Technique technique,
+    const std::vector<std::optional<std::string>>& olds) {
+  // Failures from here on are tolerable: every impacted key holds a Q
+  // lease, and an unreleased Q lease expires server-side and deletes its
+  // key, so stale values cannot survive a lost SaR/Commit.
+  if (technique == Technique::kRefresh) {
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      const KeyUpdate& u = updates[i];
+      if (Quarantines(u, technique)) continue;
+      std::optional<std::string> v_new = u.refresh(olds[i]);
+      // Write intent BEFORE the install (check/oplog.h soundness rule).
+      if (v_new) LogOp(check::OpKind::kWrite, u.key, v_new);
+      session_->SaR(u.key, v_new ? std::optional<std::string_view>(*v_new)
+                                 : std::nullopt);
+    }
+  }
+  // DaR the quarantined keys, apply the buffered deltas, release the rest.
+  session_->Commit();
+  LogSessionEnd(check::OpKind::kCommit);
+}
+
+void CasqlConnection::Restart(sql::Transaction* txn, int& restarts) {
+  if (txn != nullptr) txn->Rollback();
+  session_->Abort();
+  LogSessionEnd(check::OpKind::kAbort);
+  ++restarts;
+  session_->Backoff();
+}
+
+WriteOutcome CasqlConnection::WriteIQ(const WriteSpec& spec) {
   WriteOutcome out;
   const CasqlConfig& cfg = system_.config_;
+  const bool prior = cfg.placement == LeasePlacement::kPriorToTxn;
+  std::vector<std::optional<std::string>> olds(spec.updates.size());
   for (int attempt = 0; attempt < cfg.max_session_restarts; ++attempt) {
+    // Placement only decides whether the leases come before or after the
+    // body (Figure 9); either way they are all held at the RDBMS commit.
+    ClientQResult q = ClientQResult::kGranted;
+    if (prior) q = AcquireLeases(spec.updates, cfg.technique, olds);
     std::unique_ptr<sql::Transaction> txn;
-    if (cfg.placement == LeasePlacement::kInsideTxn) {
+    if (q == ClientQResult::kGranted) {
       txn = system_.db_.Begin();
-      if (!spec.body(*txn) ||
-          txn->state() == sql::Transaction::State::kAborted) {
-        bool conflicted = txn->state() == sql::Transaction::State::kAborted;
-        txn->Rollback();
-        session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
-        if (!conflicted) return out;
-        ++out.rdbms_restarts;
-        session_->Backoff();
+      bool ok = spec.body(*txn);
+      if (txn->state() == sql::Transaction::State::kAborted) {
+        Restart(txn.get(), out.rdbms_restarts);
         continue;
       }
-    }
-
-    ClientQResult q = ClientQResult::kGranted;
-    for (const auto& u : spec.updates) {
-      if (Quarantines(u, Technique::kIncremental)) {
-        q = session_->Quarantine(u.key);
-        if (q == ClientQResult::kGranted) {
-          LogKeyOp(check::OpKind::kInval, u.key);
-        }
-      } else {
-        q = session_->Delta(u.key, *u.delta);
-        if (q == ClientQResult::kGranted) {
-          LogKeyOp(check::OpKind::kDelta, u.key);
-        }
+      if (!ok) {
+        txn->Rollback();
+        session_->Abort();  // leaves current versions in the KVS
+        LogSessionEnd(check::OpKind::kAbort);
+        return out;
       }
-      if (q != ClientQResult::kGranted) break;
+      if (!prior) q = AcquireLeases(spec.updates, cfg.technique, olds);
     }
     if (q != ClientQResult::kGranted) {
-      if (txn) txn->Rollback();
-      session_->Abort();
-      LogSessionEnd(check::OpKind::kAbort);
-      CountRestart(q, &out);
-      session_->Backoff();
+      // Figure 5b: a refused lease, or one that may not be in place after a
+      // transport error, releases everything and restarts the session.
+      Restart(txn.get(), q == ClientQResult::kQConflict
+                             ? out.q_restarts
+                             : out.transport_restarts);
       continue;
     }
-
-    if (cfg.placement == LeasePlacement::kPriorToTxn) {
-      txn = system_.db_.Begin();
-      if (!spec.body(*txn) ||
-          txn->state() == sql::Transaction::State::kAborted) {
-        bool conflicted = txn->state() == sql::Transaction::State::kAborted;
-        txn->Rollback();
-        session_->Abort();
-        LogSessionEnd(check::OpKind::kAbort);
-        if (!conflicted) return out;
-        ++out.rdbms_restarts;
-        session_->Backoff();
-        continue;
-      }
-    }
-
     txn->Commit();
-    session_->Commit();  // server applies the buffered deltas
-    LogSessionEnd(check::OpKind::kCommit);
+    CommitLeases(spec.updates, cfg.technique, olds);
     out.committed = true;
     return out;
   }

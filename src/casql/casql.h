@@ -103,10 +103,10 @@ struct KeyUpdate {
 };
 
 /// Whether an IQ write under `technique` must quarantine `u` (QaReg, the
-/// key deleted at commit) instead of refreshing or delta-updating it: the
-/// update asks for invalidation, or carries no rule for the technique.
-/// Deleting is always safe; skipping the key would leave its cached value
-/// stale after the RDBMS commit.
+/// key deleted at commit) instead of refreshing or delta-updating it: always
+/// under invalidate; otherwise when the update asks for invalidation, or
+/// carries no rule for the technique. Deleting is always safe; skipping the
+/// key would leave its cached value stale after the RDBMS commit.
 bool Quarantines(const KeyUpdate& u, Technique technique);
 
 /// A write session: one RDBMS transaction plus its impacted keys.
@@ -139,6 +139,8 @@ struct ReadOutcome {
 using ComputeFn = std::function<std::optional<std::string>(sql::Transaction&)>;
 
 class CasqlSystem;
+struct MultiWriteSpec;     // multi_txn.h
+struct MultiWriteOutcome;  // multi_txn.h
 
 /// Per-thread handle. Not thread-safe; create one per worker.
 class CasqlConnection {
@@ -156,6 +158,8 @@ class CasqlConnection {
 
  private:
   friend class CasqlSystem;
+  friend MultiWriteOutcome ExecuteMultiTxn(CasqlSystem& system,
+                                           const MultiWriteSpec& spec);
   CasqlConnection(CasqlSystem& system, std::unique_ptr<IQSession> session,
                   std::uint64_t audit_seed);
 
@@ -163,9 +167,29 @@ class CasqlConnection {
   ReadOutcome ReadLeased(const std::string& key, const ComputeFn& compute);
 
   WriteOutcome WriteBaseline(const WriteSpec& spec);
-  WriteOutcome WriteIQInvalidate(const WriteSpec& spec);
-  WriteOutcome WriteIQRefresh(const WriteSpec& spec);
-  WriteOutcome WriteIQIncremental(const WriteSpec& spec);
+  /// The IQ write session (one loop for every technique and placement):
+  /// leases before or after the body per placement, RDBMS commit, then
+  /// CommitLeases; any refused lease or RDBMS conflict restarts it.
+  WriteOutcome WriteIQ(const WriteSpec& spec);
+
+  // The steps of an IQ write session, shared with ExecuteMultiTxn.
+
+  /// Take the Q lease of every update under `technique`: Quarantine a key
+  /// that Quarantines() selects, else QaRead it (refresh; its current value
+  /// lands in olds[i]) or buffer its Delta (incremental). Logs each grant
+  /// and stops at the first request that is not granted, returning it.
+  ClientQResult AcquireLeases(const std::vector<KeyUpdate>& updates,
+                              Technique technique,
+                              std::vector<std::optional<std::string>>& olds);
+  /// After the RDBMS commit: SaR every refreshed key with refresh(olds[i]),
+  /// then Commit (delete quarantined keys, apply deltas, release the rest)
+  /// and log the session's commit.
+  void CommitLeases(const std::vector<KeyUpdate>& updates, Technique technique,
+                    const std::vector<std::optional<std::string>>& olds);
+  /// Restart after a refused lease or an RDBMS conflict (Figure 5b): roll
+  /// back `txn` (if any), release every lease, log the abort, count it in
+  /// `restarts` and back off.
+  void Restart(sql::Transaction* txn, int& restarts);
 
   /// Recompute a key's value in a fresh RDBMS transaction (the paper's
   /// separate-connection approach, Section 6.2).

@@ -7,36 +7,16 @@ MultiWriteOutcome ExecuteMultiTxn(CasqlSystem& system,
   MultiWriteOutcome out;
   if (system.config().consistency != Consistency::kIQ) return out;
   const int max_restarts = system.config().max_session_restarts;
-  KvsBackend& server = system.backend();
-
-  IQClient client(server, system.config().client);
   // One session for every attempt, so restart k backs off per attempt k.
-  auto iq_session = client.NewSession();
-  const std::size_t n = spec.updates.size();
-  // An update without a refresh rule is quarantined and deleted at commit.
-  std::vector<bool> quarantined(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    quarantined[i] = Quarantines(spec.updates[i], Technique::kRefresh);
-  }
+  auto conn = system.Connect();
+  IQSession& session = *conn->session_;
+  std::vector<std::optional<std::string>> olds(spec.updates.size());
   for (int attempt = 0; attempt < max_restarts; ++attempt) {
-    // Growing phase: every lease before the first transaction.
-    std::vector<std::optional<std::string>> olds(n);
-    bool conflict = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string& key = spec.updates[i].key;
-      // A transport error means the lease is not held: restart as for a
-      // conflict.
-      if ((quarantined[i] ? iq_session->Quarantine(key)
-                          : iq_session->QaRead(key, olds[i])) !=
-          ClientQResult::kGranted) {
-        conflict = true;
-        break;
-      }
-    }
-    if (conflict) {
-      iq_session->Abort();
-      ++out.q_restarts;
-      iq_session->Backoff();
+    // Growing phase: every lease before the first transaction. An update
+    // without a refresh rule is quarantined and deleted at commit.
+    if (conn->AcquireLeases(spec.updates, Technique::kRefresh, olds) !=
+        ClientQResult::kGranted) {
+      conn->Restart(nullptr, out.q_restarts);
       continue;
     }
 
@@ -51,20 +31,18 @@ MultiWriteOutcome ExecuteMultiTxn(CasqlSystem& system,
         ++out.transactions_run;
         bool ok = body(*txn);
         if (txn->state() == sql::Transaction::State::kAborted) {
-          iq_session->Backoff();
+          session.Backoff();
           continue;  // write-write conflict: retry this transaction
         }
         if (!ok) {
           txn->Rollback();
-          session_failed = true;
           break;
         }
-        if (txn->Commit() == sql::TxnResult::kOk) {
-          txn_done = true;
-          ++committed_txns;
-        }
+        txn->Commit();
+        txn_done = true;
+        ++committed_txns;
       }
-      if (session_failed || !txn_done) {
+      if (!txn_done) {
         session_failed = true;
         break;
       }
@@ -73,32 +51,29 @@ MultiWriteOutcome ExecuteMultiTxn(CasqlSystem& system,
     if (session_failed) {
       if (committed_txns == 0) {
         // Nothing reached the database: plain abort, values intact.
-        iq_session->Abort();
+        session.Abort();
+        conn->LogSessionEnd(check::OpKind::kAbort);
         return out;
       }
       // Mid-sequence failure after some commits: the cached values can no
       // longer be refreshed consistently, so fall back to deleting them -
       // a delete is always safe and readers recompute from the database.
-      // Commit deletes the quarantined keys.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (quarantined[i]) continue;
-        iq_session->SaR(spec.updates[i].key, std::nullopt);  // release only
-        server.DeleteVoid(spec.updates[i].key);
+      // Re-quarantining a key voids this session's own Q(refresh) lease on
+      // it. The database has already moved on, so a quarantine that fails
+      // is retried (within the restart budget) instead of restarting.
+      for (int i = 0; i < max_restarts &&
+                      conn->AcquireLeases(spec.updates, Technique::kInvalidate,
+                                          olds) != ClientQResult::kGranted;
+           ++i) {
+        session.Backoff();
       }
-      iq_session->Commit();
+      conn->CommitLeases(spec.updates, Technique::kInvalidate, olds);
       out.degraded_to_invalidate = true;
       return out;
     }
 
     // Shrinking phase: apply every refresh after the LAST commit.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (quarantined[i]) continue;
-      const auto& u = spec.updates[i];
-      std::optional<std::string> v_new = u.refresh(olds[i]);
-      iq_session->SaR(u.key, v_new ? std::optional<std::string_view>(*v_new)
-                                   : std::nullopt);
-    }
-    iq_session->Commit();  // also deletes the quarantined keys
+    conn->CommitLeases(spec.updates, Technique::kRefresh, olds);
     out.committed = true;
     return out;
   }

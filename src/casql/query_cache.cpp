@@ -135,8 +135,21 @@ bool DecodeResultSet(const std::string& raw, sql::QueryResult* out) {
   return pos == raw.size();
 }
 
+namespace {
+
+CasqlConfig QueryCacheConfig() {
+  CasqlConfig cfg;
+  cfg.technique = Technique::kInvalidate;
+  cfg.consistency = Consistency::kIQ;
+  cfg.placement = LeasePlacement::kInsideTxn;
+  cfg.max_session_restarts = 10;
+  return cfg;
+}
+
+}  // namespace
+
 QueryCache::QueryCache(sql::Database& db, KvsBackend& server)
-    : db_(db), server_(server), client_(server) {}
+    : system_(db, server, QueryCacheConfig()) {}
 
 std::string QueryCache::SentinelKey(const std::string& table) {
   return "qv:" + table;
@@ -159,7 +172,8 @@ std::string QueryCache::TableVersion(IQSession& session,
     case ClientGetResult::Status::kMissRecompute: {
       // New version tag: the last commit timestamp is monotonic, so a
       // retired keyspace can never be resurrected.
-      std::string version = "v" + std::to_string(db_.LastCommitTs());
+      std::string version =
+          "v" + std::to_string(system_.db().LastCommitTs());
       session.Put(SentinelKey(table), version);
       {
         std::lock_guard lock(stats_mu_);
@@ -176,13 +190,13 @@ sql::QueryResult QueryCache::Select(const std::string& sql,
                                     const std::vector<sql::Value>& params) {
   sql::Statement stmt = sql::Prepare(sql);
   if (stmt.kind != sql::StatementKind::kSelect) {
-    auto txn = db_.Begin();
+    auto txn = system_.db().Begin();
     auto r = sql::Execute(*txn, stmt, params);
     txn->Commit();
     return r;
   }
 
-  auto session = client_.NewSession();
+  auto session = system_.client().NewSession();
   std::string version = TableVersion(*session, stmt.table);
   std::string key;
   if (!version.empty()) {
@@ -204,7 +218,7 @@ sql::QueryResult QueryCache::Select(const std::string& sql,
     }
   }
 
-  auto txn = db_.Begin();
+  auto txn = system_.db().Begin();
   sql::QueryResult result = sql::Execute(*txn, stmt, params);
   txn->Rollback();
   if (!key.empty() && result.ok()) {
@@ -218,36 +232,22 @@ sql::QueryResult QueryCache::Select(const std::string& sql,
 }
 
 bool QueryCache::Write(const std::vector<std::string>& tables,
-                       const std::function<bool(sql::Transaction&)>& body,
-                       int max_attempts) {
-  auto session = client_.NewSession();
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    auto txn = db_.Begin();
-    bool ok = body(*txn);
-    if (txn->state() == sql::Transaction::State::kAborted) {
-      session->Abort();
-      session->Backoff();
-      continue;
-    }
-    if (!ok) {
-      txn->Rollback();
-      session->Abort();
-      return false;
-    }
-    // Quarantine every touched table's sentinel inside the transaction
-    // (always granted; voids racing readers' I leases on the sentinel),
-    // then delete them at commit - retiring those tables' keyspaces.
-    for (const auto& table : tables) session->Quarantine(SentinelKey(table));
-    if (txn->Commit() != sql::TxnResult::kOk) {
-      session->Abort();
-      continue;
-    }
-    session->Commit();
-    std::lock_guard lock(stats_mu_);
-    ++stats_.writes;
-    return true;
+                       const std::function<bool(sql::Transaction&)>& body) {
+  // Quarantine every touched table's sentinel inside the transaction
+  // (voiding racing readers' I leases on it) and delete it at commit,
+  // retiring those tables' keyspaces.
+  WriteSpec spec;
+  spec.body = body;
+  for (const auto& table : tables) {
+    KeyUpdate u;
+    u.key = SentinelKey(table);
+    u.invalidate = true;
+    spec.updates.push_back(std::move(u));
   }
-  return false;
+  if (!system_.Connect()->Write(spec).committed) return false;
+  std::lock_guard lock(stats_mu_);
+  ++stats_.writes;
+  return true;
 }
 
 QueryCache::Stats QueryCache::GetStats() const {

@@ -33,10 +33,9 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
-#include "core/iq_client.h"
+#include "casql/casql.h"
 #include "rdbms/sql.h"
 
 namespace iq::casql {
@@ -58,11 +57,12 @@ class QueryCache {
                           const std::vector<sql::Value>& params = {});
 
   /// Run a write transaction; `tables` lists every table the body mutates
-  /// (their cached queries are retired at commit). Retries on write-write
-  /// conflict. Returns true iff committed.
+  /// (their cached queries are retired at commit). An IQ invalidate write
+  /// session whose updates are the tables' sentinels: it restarts on a
+  /// write-write conflict or a sentinel quarantine that is not in place.
+  /// Returns true iff committed.
   bool Write(const std::vector<std::string>& tables,
-             const std::function<bool(sql::Transaction&)>& body,
-             int max_attempts = 10);
+             const std::function<bool(sql::Transaction&)>& body);
 
   Stats GetStats() const;
 
@@ -78,9 +78,9 @@ class QueryCache {
   /// database).
   std::string TableVersion(IQSession& session, const std::string& table);
 
-  sql::Database& db_;
-  KvsBackend& server_;
-  IQClient client_;
+  /// Invalidate technique, IQ consistency, quarantines inside the
+  /// transaction; Select sessions come from its client.
+  CasqlSystem system_;
 
   mutable std::mutex stats_mu_;
   Stats stats_;

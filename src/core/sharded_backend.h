@@ -85,7 +85,7 @@ class ShardedBackend final : public KvsBackend {
     /// Optional lease-trace drain used by TraceSnapshot(): the newest (up
     /// to) max_events events, oldest first. Bind IQServer::TraceSnapshot
     /// for an in-process child; for a TCP child bind the `trace` verb via
-    /// net::RemoteCacheClient::Trace.
+    /// net::RemoteCacheClient::TraceWithInfo.
     std::function<std::vector<TraceEvent>(std::size_t)> trace;
     /// Optional drain-completeness accounting for TraceInfoTotal(); bind
     /// IQServer::TraceInfoTotal or the TRACE_INFO wire header.

@@ -224,36 +224,6 @@ std::string RemoteCacheClient::Stats() {
   return Call(r).message;
 }
 
-std::optional<std::uint64_t> RemoteCacheClient::Sweep() {
-  Request r;
-  r.command = Command::kSweep;
-  Response resp = Call(r);
-  if (resp.type != ResponseType::kNumber) return std::nullopt;
-  return resp.number;
-}
-
-std::optional<std::string> RemoteCacheClient::Metrics() {
-  Request r;
-  r.command = Command::kMetrics;
-  Response resp = Call(r);
-  if (resp.type != ResponseType::kMetrics) return std::nullopt;
-  return std::move(resp.data);
-}
-
-std::optional<std::vector<TraceEvent>> RemoteCacheClient::Trace(
-    std::uint64_t max_events) {
-  Request r;
-  r.command = Command::kTrace;
-  r.amount = max_events;
-  Response resp = Call(r);
-  // An empty trace serializes as a bare END and parses as kEnd.
-  if (resp.type == ResponseType::kEnd) return std::vector<TraceEvent>{};
-  if (resp.type != ResponseType::kTrace) return std::nullopt;
-  std::vector<TraceEvent> events;
-  if (!ParseTraceEvents(resp.message, &events)) return std::nullopt;
-  return events;
-}
-
 std::optional<RemoteCacheClient::TraceDrain> RemoteCacheClient::TraceWithInfo(
     std::uint64_t max_events) {
   Request r;

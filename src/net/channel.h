@@ -87,15 +87,6 @@ class RemoteCacheClient {
   std::optional<std::uint64_t> Decr(std::string_view key, std::uint64_t amount);
   void FlushAll();
   std::string Stats();
-  /// Force one lease-table sweep on the server; returns the number of
-  /// overdue leases expired, or nullopt on transport failure.
-  std::optional<std::uint64_t> Sweep();
-  /// Scrape the server's Prometheus exposition (`metrics` verb); nullopt on
-  /// transport failure. Each scrape advances the server-side window.
-  std::optional<std::string> Metrics();
-  /// Drain the newest `max_events` lease-trace events (0 = server default).
-  /// nullopt on transport failure or an unparsable reply.
-  std::optional<std::vector<TraceEvent>> Trace(std::uint64_t max_events = 0);
   /// One drained trace with its completeness header. `has_info` is false
   /// against pre-TRACE_INFO servers.
   struct TraceDrain {
@@ -103,8 +94,10 @@ class RemoteCacheClient {
     TraceInfo info;
     bool has_info = false;
   };
-  /// Like Trace() but also returns the server's TRACE_INFO header, so the
-  /// caller (iqcheck) can tell a complete history from a wrapped one.
+  /// Drain the newest `max_events` lease-trace events (0 = server default)
+  /// with the server's TRACE_INFO header, so the caller (iqcheck) can tell
+  /// a complete history from a wrapped one. nullopt on transport failure or
+  /// an unparsable reply.
   std::optional<TraceDrain> TraceWithInfo(std::uint64_t max_events = 0);
 
   // -- IQ commands --

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "check/oplog.h"
+#include "core/fault_backend.h"
 #include "core/iq_server.h"
 #include "casql/multi_txn.h"
 #include "util/worker_group.h"
@@ -124,6 +128,53 @@ TEST_F(MultiTxnTest, UpdateWithoutRefreshIsDeletedAtCommit) {
     return std::to_string(*sql::AsInt((*row)[1]));
   });
   EXPECT_EQ(read.value, "1001");
+}
+
+TEST_F(MultiTxnTest, OpLoggedSessionsAllEndInCommitOrAbort) {
+  // The session logs its lease reads and invalidations, so every way out of
+  // it - a restart, the invalidation fallback, success - must close the
+  // logged session with a commit or an abort record.
+  WarmKeys();
+  check::OpLog log;
+  FaultBackend faulty(server_);
+  CasqlConfig cfg = system_->config();
+  cfg.op_log = &log;
+  CasqlSystem logged(db_, faulty, cfg);
+
+  faulty.FailNext(FaultBackend::Verb::kQaRead, 1);  // one restart
+  MultiWriteSpec spec = TransferSpec(100);
+  spec.bodies[1] = [](Transaction&) { return false; };  // credit fails
+  auto degraded = ExecuteMultiTxn(logged, spec);
+  EXPECT_EQ(degraded.q_restarts, 1);
+  EXPECT_TRUE(degraded.degraded_to_invalidate);
+  EXPECT_TRUE(ExecuteMultiTxn(logged, TransferSpec(10)).committed);
+
+  std::set<std::uint64_t> open;
+  int commits = 0, aborts = 0, invals = 0;
+  for (const check::OpRecord& r : log.Snapshot()) {
+    switch (r.kind) {
+      case check::OpKind::kCommit:
+        ++commits;
+        open.erase(r.session);
+        break;
+      case check::OpKind::kAbort:
+        ++aborts;
+        open.erase(r.session);
+        break;
+      case check::OpKind::kInval:
+        ++invals;
+        open.insert(r.session);
+        break;
+      default:
+        open.insert(r.session);
+    }
+  }
+  EXPECT_TRUE(open.empty());
+  EXPECT_EQ(aborts, 1);   // the restart
+  EXPECT_EQ(commits, 2);  // the fallback and the clean transfer
+  EXPECT_EQ(invals, 2);   // the fallback deleted both balances
+  EXPECT_EQ(DbBalance(1), 900 - 10);
+  EXPECT_EQ(DbBalance(2), 1000 + 10);
 }
 
 TEST_F(MultiTxnTest, LeasesSpanBothTransactions) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "core/fault_backend.h"
 #include "core/iq_server.h"
 #include "casql/query_cache.h"
 #include "util/worker_group.h"
@@ -139,6 +140,28 @@ TEST_F(QueryCacheTest, FailedWriteRollsBackAndKeepsCache) {
   auto r = cache_.Select("SELECT score FROM Users WHERE id = ?", {V(1)});
   EXPECT_EQ(r.rows[0][0], V(10));  // neither store changed
   EXPECT_EQ(cache_.GetStats().result_hits, 1u);  // cache not retired
+}
+
+TEST_F(QueryCacheTest, WriteWhoseSentinelQuarantineFailsLeavesNoStaleRows) {
+  // A sentinel quarantine lost to a transport error is not in place, so the
+  // write must not commit over it: committing would leave the cached row
+  // (and the sentinel naming its keyspace) live over the updated database.
+  FaultBackend faulty(server_);
+  QueryCache cache(db_, faulty);
+  const std::string select = "SELECT score FROM Users WHERE id = ?";
+  EXPECT_EQ(cache.Select(select, {V(1)}).rows[0][0], V(10));
+  EXPECT_EQ(cache.Select(select, {V(1)}).rows[0][0], V(10));  // cached
+  faulty.FailNext(FaultBackend::Verb::kQaReg);
+  EXPECT_TRUE(cache.Write({"Users"}, [](Transaction& txn) {
+    return sql::Query(txn, "UPDATE Users SET score = 99 WHERE id = 1").ok();
+  }));
+  EXPECT_EQ(faulty.faults_injected(), 1u);
+  auto txn = db_.Begin();
+  auto row = txn->SelectByPk("Users", {V(1)});
+  txn->Rollback();
+  ASSERT_TRUE(row);
+  EXPECT_EQ((*row)[2], V(99));
+  EXPECT_EQ(cache.Select(select, {V(1)}).rows[0][0], (*row)[2]);
 }
 
 TEST_F(QueryCacheTest, NonSelectStatementsExecuteUncached) {
