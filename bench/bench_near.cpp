@@ -239,6 +239,8 @@ int main() {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_near\",\n"
+               "  \"git_sha\": \"%s\",\n"
+               "  \"hardware_concurrency\": %u,\n"
                "  \"note\": \"client and server share one host; req/s "
                "understates the near-cache win because each wire round trip "
                "burns both client and server cycles from the same CPU "
@@ -246,7 +248,8 @@ int main() {
                "  \"client_threads\": %d,\n"
                "  \"keys\": %d,\n"
                "  \"cells\": [\n",
-               kClientThreads, kKeys);
+               bench::SourceRevision().c_str(),
+               std::thread::hardware_concurrency(), kClientThreads, kKeys);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];
     std::fprintf(f,

@@ -32,10 +32,10 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.h"
@@ -70,9 +70,11 @@ net::Request MixRequest(std::uint64_t i) {
 
 /// Aggregate requests/sec of kClientThreads threads, each driving its own
 /// channel until the shared deadline. make_channel is called per thread.
-double MeasureThreads(
-    const std::function<std::unique_ptr<net::Channel>()>& make_channel,
-    int depth, Nanos window) {
+/// Depth 1 is one RoundTrip per request on any channel; a deeper pipeline
+/// needs TcpChannel's SendNoWait/Flush/Drain.
+template <typename MakeChannel>
+double MeasureThreads(const MakeChannel& make_channel, int depth,
+                      Nanos window) {
   const Clock& clock = SteadyClock::Instance();
   Nanos deadline = clock.Now() + window;
   std::atomic<std::uint64_t> total{0};
@@ -80,36 +82,38 @@ double MeasureThreads(
   threads.reserve(kClientThreads);
   for (int t = 0; t < kClientThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::unique_ptr<net::Channel> channel = make_channel();
-      auto* pipelined = dynamic_cast<net::PipelinedChannel*>(channel.get());
+      auto channel = make_channel();
       std::uint64_t count = static_cast<std::uint64_t>(t) * 7;  // decorrelate
       std::string bytes;
       std::string reply;
       while (clock.Now() < deadline) {
-        if (depth == 1 || pipelined == nullptr) {
-          bytes.clear();
-          net::AppendTo(MixRequest(count), &bytes);
-          if (!channel->RoundTrip(bytes, &reply)) {
-            std::fprintf(stderr, "bench_net: transport failure\n");
-            std::exit(1);
+        if constexpr (std::is_same_v<decltype(*channel), net::TcpChannel&>) {
+          if (depth > 1) {
+            for (int i = 0; i < depth; ++i) {
+              channel->SendNoWait(
+                  MixRequest(count + static_cast<std::uint64_t>(i)));
+            }
+            channel->Flush();
+            std::vector<net::Response> responses = channel->Drain();
+            if (static_cast<int>(responses.size()) != depth) {
+              std::fprintf(stderr, "bench_net: short drain (%zu of %d)\n",
+                           responses.size(), depth);
+              std::exit(1);
+            }
+            count += static_cast<std::uint64_t>(depth);
+            total.fetch_add(static_cast<std::uint64_t>(depth),
+                            std::memory_order_relaxed);
+            continue;
           }
-          ++count;
-          total.fetch_add(1, std::memory_order_relaxed);
-          continue;
         }
-        for (int i = 0; i < depth; ++i) {
-          pipelined->SendNoWait(MixRequest(count + static_cast<std::uint64_t>(i)));
-        }
-        pipelined->Flush();
-        std::vector<net::Response> responses = pipelined->Drain();
-        if (static_cast<int>(responses.size()) != depth) {
-          std::fprintf(stderr, "bench_net: short drain (%zu of %d)\n",
-                       responses.size(), depth);
+        bytes.clear();
+        net::AppendTo(MixRequest(count), &bytes);
+        if (!channel->RoundTrip(bytes, &reply)) {
+          std::fprintf(stderr, "bench_net: transport failure\n");
           std::exit(1);
         }
-        count += static_cast<std::uint64_t>(depth);
-        total.fetch_add(static_cast<std::uint64_t>(depth),
-                        std::memory_order_relaxed);
+        ++count;
+        total.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -276,7 +280,7 @@ int main() {
     std::fprintf(stderr, "bench_net: %s\n", error.c_str());
     return 1;
   }
-  auto connect = [&tcp]() -> std::unique_ptr<net::Channel> {
+  auto connect = [&tcp] {
     std::string err;
     auto ch = net::TcpChannel::Connect("127.0.0.1", tcp.port(), &err);
     if (!ch) {

@@ -268,13 +268,14 @@ int main() {
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"bench_shard\",\n"
+                 "  \"git_sha\": \"%s\",\n"
                  "  \"mix\": \"%d%% refresh increments : %d%% gets\",\n"
                  "  \"client_threads\": %d,\n"
                  "  \"hardware_concurrency\": %u,\n"
                  "  \"direct_ops_per_sec\": %.0f,\n"
                  "  \"tiers\": [\n",
-                 kWritePct, 100 - kWritePct, kThreads, hw,
-                 direct.ops_per_sec);
+                 bench::SourceRevision().c_str(), kWritePct, 100 - kWritePct,
+                 kThreads, hw, direct.ops_per_sec);
     for (std::size_t i = 0; i < cells.size(); ++i) {
       std::fprintf(f,
                    "    {\"shards\": %d, \"ops_per_sec\": %.0f, "

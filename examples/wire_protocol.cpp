@@ -7,7 +7,7 @@
 #include "core/iq_server.h"
 #include <cstdio>
 
-#include "net/channel.h"
+#include "net/remote_backend.h"
 
 using namespace iq;
 using namespace iq::net;
@@ -54,7 +54,7 @@ int main() {
   IQServer server;
   LoopbackChannel loopback(server);
   TracingChannel wire(loopback);
-  RemoteCacheClient client(wire);
+  RemoteBackend client(wire);
 
   std::printf("-- read session: miss, I lease, recompute, install --\n");
   SessionId reader = client.GenID();

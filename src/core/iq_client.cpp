@@ -31,9 +31,8 @@ IQSession::IQSession(IQClient& client, SessionId id)
 IQSession::~IQSession() {
   // A session destroyed without Commit() behaves like a failed application
   // node: abort explicitly so leases release immediately rather than
-  // waiting for expiry.
-  if (!i_tokens_.empty() || !q_tokens_.empty()) Abort();
-  if (id_ != 0) client_.backend_.Abort(id_);
+  // waiting for expiry. One that left nothing on the server skips it.
+  if (server_state_) Abort();
 }
 
 bool IQSession::EnsureId() {
@@ -78,6 +77,7 @@ ClientGetResult IQSession::Get(std::string_view key, int max_retries) {
         }
         return {ClientGetResult::Status::kHit, std::move(reply.value)};
       case GetReply::Status::kMissGrantedI:
+        server_state_ = true;
         i_tokens_[std::string(key)] = reply.token;
         return {ClientGetResult::Status::kMissRecompute, {}};
       case GetReply::Status::kMissNoLease:
@@ -86,6 +86,7 @@ ClientGetResult IQSession::Get(std::string_view key, int max_retries) {
         // Cache unreachable: degrade the read to RDBMS pass-through. No I
         // lease exists, so kMissNoInstall is exact — compute fresh, install
         // nothing. Retrying here would spin the budget against a dead host.
+        server_state_ = true;  // the lost reply may have granted a lease
         ++stats_.transport_errors;
         return {ClientGetResult::Status::kMissNoInstall, {}};
       case GetReply::Status::kMissBackoff: {
@@ -118,6 +119,7 @@ ClientQResult IQSession::Quarantine(std::string_view key) {
     ++stats_.transport_errors;
     return ClientQResult::kTransportError;
   }
+  server_state_ = true;
   switch (client_.backend_.QaReg(id_, key)) {
     case QuarantineResult::kGranted:
       return ClientQResult::kGranted;
@@ -138,6 +140,7 @@ ClientQResult IQSession::QaRead(std::string_view key,
     ++stats_.transport_errors;
     return ClientQResult::kTransportError;
   }
+  server_state_ = true;
   QaReadReply reply = client_.backend_.QaRead(key, id_);
   if (reply.status == QaReadReply::Status::kReject) {
     ++stats_.q_conflicts;
@@ -168,6 +171,7 @@ ClientQResult IQSession::Delta(std::string_view key, DeltaOp delta) {
     ++stats_.transport_errors;
     return ClientQResult::kTransportError;
   }
+  server_state_ = true;
   switch (client_.backend_.IQDelta(id_, key, std::move(delta))) {
     case QuarantineResult::kGranted:
       return ClientQResult::kGranted;
@@ -204,6 +208,7 @@ void IQSession::Commit() {
   near_written_.clear();
   i_tokens_.clear();
   q_tokens_.clear();
+  server_state_ = false;
   backoff_attempt_ = 0;
 }
 
@@ -215,6 +220,7 @@ void IQSession::Abort() {
   near_written_.clear();
   i_tokens_.clear();
   q_tokens_.clear();
+  server_state_ = false;
 }
 
 void IQSession::DropLease(std::string_view key) {

@@ -168,6 +168,12 @@ class IQSession {
   std::unordered_map<std::string, LeaseToken> q_tokens_;
   /// Keys this session wrote (near-cache re-invalidation at Commit/Abort).
   std::unordered_set<std::string> near_written_;
+  /// Set by every verb that may have left state on the server: an I-lease
+  /// grant, QaRead, Quarantine, Delta, or an IQget reply lost to a
+  /// transport error (Put and SaR only ever follow a grant that set it).
+  /// Cleared by Commit and Abort. The destructor aborts only while it is
+  /// set, so a session that only hit costs no closing round trip.
+  bool server_state_ = false;
   int backoff_attempt_ = 0;
   SessionStats stats_;
   Rng rng_;

@@ -1,5 +1,5 @@
-// Transport layer: a byte-oriented channel between a protocol client and
-// the dispatcher, plus a remote-client facade that speaks the wire format.
+// Transport layer: a byte-oriented channel between the wire client
+// (RemoteBackend, net/remote_backend.h) and the dispatcher.
 //
 // LoopbackChannel is an in-process stand-in for a TCP connection to the
 // cache server: bytes go through the full serialize -> parse -> dispatch ->
@@ -8,15 +8,11 @@
 // deployment.
 #pragma once
 
-#include "core/iq_server.h"
 #include <atomic>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
+#include "core/iq_server.h"
 #include "net/protocol.h"
 #include "net/server.h"
 #include "util/clock.h"
@@ -59,71 +55,6 @@ class LoopbackChannel final : public Channel {
   RequestParser parser_;
   Request request_;  // reused: the parser fills it in place
   std::atomic<std::uint64_t> requests_{0};
-};
-
-/// A memcached/IQ client that talks through a Channel - the remote
-/// equivalent of calling IQServer directly. Each method performs one
-/// round trip.
-class RemoteCacheClient {
- public:
-  explicit RemoteCacheClient(Channel& channel) : channel_(channel) {}
-
-  // -- standard commands --
-  std::optional<CacheItem> Get(std::string_view key);
-  std::optional<CacheItem> Gets(std::string_view key);
-  /// Fetch N keys in one round trip (`get k1 k2 ... kn`). Result is aligned
-  /// with `keys`; misses are nullopt. `with_cas` issues `gets` instead.
-  std::vector<std::optional<CacheItem>> MultiGet(
-      const std::vector<std::string>& keys, bool with_cas = false);
-  StoreResult Set(std::string_view key, std::string_view value,
-                  std::uint32_t flags = 0, std::int64_t exptime = 0);
-  StoreResult Add(std::string_view key, std::string_view value);
-  StoreResult Cas(std::string_view key, std::string_view value,
-                  std::uint64_t unique);
-  bool Delete(std::string_view key);
-  StoreResult Append(std::string_view key, std::string_view blob);
-  StoreResult Prepend(std::string_view key, std::string_view blob);
-  std::optional<std::uint64_t> Incr(std::string_view key, std::uint64_t amount);
-  std::optional<std::uint64_t> Decr(std::string_view key, std::uint64_t amount);
-  void FlushAll();
-  std::string Stats();
-  /// One drained trace with its completeness header. `has_info` is false
-  /// against pre-TRACE_INFO servers.
-  struct TraceDrain {
-    std::vector<TraceEvent> events;
-    TraceInfo info;
-    bool has_info = false;
-  };
-  /// Drain the newest `max_events` lease-trace events (0 = server default)
-  /// with the server's TRACE_INFO header, so the caller (iqcheck) can tell
-  /// a complete history from a wrapped one. nullopt on transport failure or
-  /// an unparsable reply.
-  std::optional<TraceDrain> TraceWithInfo(std::uint64_t max_events = 0);
-
-  // -- IQ commands --
-  GetReply IQget(std::string_view key, SessionId session);
-  StoreResult IQset(std::string_view key, std::string_view value,
-                    LeaseToken token);
-  QaReadReply QaRead(std::string_view key, SessionId session);
-  StoreResult SaR(std::string_view key,
-                  std::optional<std::string_view> value, LeaseToken token);
-  SessionId GenID();
-  /// Parses the wire reply: kGranted only on an explicit GRANTED — a dead
-  /// channel yields kTransportError, never a silently "granted" quarantine.
-  QuarantineResult QaReg(SessionId tid, std::string_view key);
-  /// Each returns true iff the server acknowledged (OK). False means the
-  /// command may or may not have been applied; lease expiry is the backstop.
-  bool DaR(SessionId tid);
-  QuarantineResult IQDelta(SessionId tid, std::string_view key, DeltaOp delta);
-  bool Commit(SessionId tid);
-  bool Abort(SessionId tid);
-  /// Drop the session's lease on one key, keeping everything else it holds.
-  bool Release(SessionId tid, std::string_view key);
-
- private:
-  Response Call(const Request& request);
-
-  Channel& channel_;
 };
 
 }  // namespace iq::net

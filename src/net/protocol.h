@@ -246,7 +246,7 @@ enum class ResponseType {
   kTrace,        // TRACE lines + END (raw lines in message)
   // Failure signalling
   kTransportError,  // SERVER_ERROR <msg>. Synthesized client-side by
-                    // RemoteCacheClient::Call when the channel itself fails
+                    // RemoteBackend::Call when the channel itself fails
                     // (dead connection, deadline, desync); distinct from
                     // kError (the server parsed the request and refused it)
                     // so sessions can tell outage from conflict.

@@ -1,13 +1,13 @@
 // Client side of the TCP transport.
 //
 // TcpChannel is the socket twin of LoopbackChannel: RoundTrip() gives the
-// one-outstanding-request behavior RemoteCacheClient expects. On top of
-// that it implements the PipelinedChannel batching API — queue N requests
-// with SendNoWait (serialized back-to-back into one reused buffer), push
-// them over the socket with a single write() via Flush, then Drain the N
-// responses from as few read()s as the kernel allows. Pipelining amortizes
-// the per-round-trip syscall + wakeup cost, which is the whole ballgame for
-// small memcached-style requests (see bench/bench_net.cpp).
+// one-outstanding-request behavior RemoteBackend expects. For callers that
+// batch, it also pipelines: queue N requests with SendNoWait (serialized
+// back-to-back into one reused buffer), push them over the socket with a
+// single write() via Flush, then Drain the N responses from as few read()s
+// as the kernel allows. Pipelining amortizes the per-round-trip syscall +
+// wakeup cost, which is the whole ballgame for small memcached-style
+// requests (see bench/bench_net.cpp).
 #pragma once
 
 #include <chrono>
@@ -22,24 +22,7 @@
 
 namespace iq::net {
 
-/// A Channel that can additionally batch requests: send without waiting,
-/// flush the batch in one write, and drain all outstanding responses.
-/// Responses come back in request order (the server never reorders).
-class PipelinedChannel : public Channel {
- public:
-  /// Queue one request locally (no I/O). `quit` expects no response and is
-  /// excluded from the outstanding count.
-  virtual void SendNoWait(const Request& request) = 0;
-
-  /// Write every queued request to the transport. False on transport error.
-  virtual bool Flush() = 0;
-
-  /// Block until every outstanding response has arrived; returns them in
-  /// request order. A transport error / EOF cuts the vector short.
-  virtual std::vector<Response> Drain() = 0;
-};
-
-class TcpChannel final : public PipelinedChannel {
+class TcpChannel final : public Channel {
  public:
   /// Deadlines. Before these existed every wait was `poll(…, -1)`: a wedged
   /// server (accepts but never replies) hung the client forever. A deadline
@@ -78,9 +61,17 @@ class TcpChannel final : public PipelinedChannel {
   bool RoundTrip(const std::string& request_bytes,
                  std::string* reply) override;
 
-  void SendNoWait(const Request& request) override;
-  bool Flush() override;
-  std::vector<Response> Drain() override;
+  /// Queue one request locally (no I/O). `quit` expects no response and is
+  /// excluded from the outstanding count.
+  void SendNoWait(const Request& request);
+
+  /// Write every queued request to the socket. False on transport error.
+  bool Flush();
+
+  /// Block until every outstanding response has arrived; returns them in
+  /// request order (the server never reorders). A transport error / EOF
+  /// cuts the vector short.
+  std::vector<Response> Drain();
 
   bool connected() const { return fd_ >= 0; }
 

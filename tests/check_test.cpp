@@ -13,7 +13,7 @@
 #include "check/oplog.h"
 #include "core/iq_server.h"
 #include "core/sharded_backend.h"
-#include "net/channel.h"
+#include "net/remote_backend.h"
 #include "util/clock.h"
 #include "util/trace_ring.h"
 
@@ -464,7 +464,7 @@ TEST(ShardedTraceTest, SnapshotMergesAndInfoSums) {
 TEST(WireTraceTest, TraceWithInfoCarriesCompleteness) {
   IQServer server(CacheStore::Config{}, IQServer::Config{});
   net::LoopbackChannel channel(server);
-  net::RemoteCacheClient client(channel);
+  net::RemoteBackend client(channel);
 
   QaReadReply q = server.QaRead("k", 1);
   server.SaR("k", "v", q.token);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "net/channel.h"
+#include "net/remote_backend.h"
 #include "util/rng.h"
 
 namespace iq::net {
@@ -112,7 +113,7 @@ TEST_P(FuzzSeedTest, DispatcherSurvivesGarbageRoundTrips) {
     EXPECT_TRUE(channel.RoundTrip(RandomBytes(rng, 48) + "\r\n", &reply));
   }
   // The server still works after the abuse.
-  RemoteCacheClient client(channel);
+  RemoteBackend client(channel);
   EXPECT_EQ(client.Set("sane", "value"), StoreResult::kStored);
   EXPECT_EQ(client.Get("sane")->value, "value");
 }

@@ -748,7 +748,7 @@ TEST(ResponseCodec, ErrorRepliesWithAndWithoutMessage) {
     EXPECT_EQ(consumed, std::strlen(c.bytes));
     // And through the client facade: a refusal, never a crash.
     CannedChannel channel(c.bytes);
-    RemoteCacheClient client(channel);
+    RemoteBackend client(channel);
     EXPECT_FALSE(client.Get("k").has_value());
     EXPECT_NE(client.Set("k", "v"), StoreResult::kStored);
   }
@@ -761,21 +761,40 @@ class RemoteTest : public ::testing::Test {
   RemoteTest() : channel_(server_), client_(channel_) {}
   IQServer server_;
   LoopbackChannel channel_;
-  RemoteCacheClient client_;
+  RemoteBackend client_;
 };
+
+/// The IQ protocol cases run twice: against the in-process IQServer, the
+/// reference, and against RemoteBackend over a LoopbackChannel into the
+/// same kind of server. Each verb's wire mapping must reproduce the
+/// in-process result.
+class ProtocolTest : public RemoteTest,
+                     public ::testing::WithParamInterface<bool> {
+ protected:
+  /// The backend under test: true selects the wire.
+  KvsBackend& kvs() {
+    if (GetParam()) return client_;
+    return server_;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, ProtocolTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Wire" : "InProcess";
+                         });
 
 TEST_F(RemoteTest, SetGetDeleteOverTheWire) {
   EXPECT_EQ(client_.Set("k", "v"), StoreResult::kStored);
   auto item = client_.Get("k");
   ASSERT_TRUE(item);
   EXPECT_EQ(item->value, "v");
-  EXPECT_TRUE(client_.Delete("k"));
+  EXPECT_TRUE(client_.DeleteVoid("k"));
   EXPECT_FALSE(client_.Get("k"));
 }
 
 TEST_F(RemoteTest, GetsReturnsCasAndCasWorks) {
   client_.Set("k", "v1");
-  auto item = client_.Gets("k");
+  auto item = client_.Get("k");
   ASSERT_TRUE(item);
   EXPECT_EQ(client_.Cas("k", "v2", item->cas), StoreResult::kStored);
   EXPECT_EQ(client_.Cas("k", "v3", item->cas), StoreResult::kExists);
@@ -788,59 +807,59 @@ TEST_F(RemoteTest, IncrDecrOverTheWire) {
   EXPECT_FALSE(client_.Incr("absent", 1));
 }
 
-TEST_F(RemoteTest, FullIQReadProtocol) {
-  SessionId session = client_.GenID();
+TEST_P(ProtocolTest, FullIQReadProtocol) {
+  SessionId session = kvs().GenID();
   EXPECT_NE(session, 0u);
-  GetReply miss = client_.IQget("k", session);
+  GetReply miss = kvs().IQget("k", session);
   ASSERT_EQ(miss.status, GetReply::Status::kMissGrantedI);
-  EXPECT_EQ(client_.IQset("k", "computed", miss.token), StoreResult::kStored);
-  GetReply hit = client_.IQget("k", session);
+  EXPECT_EQ(kvs().IQset("k", "computed", miss.token), StoreResult::kStored);
+  GetReply hit = kvs().IQget("k", session);
   EXPECT_EQ(hit.status, GetReply::Status::kHit);
   EXPECT_EQ(hit.value, "computed");
 }
 
-TEST_F(RemoteTest, FullRefreshProtocol) {
-  client_.Set("k", "old");
-  SessionId session = client_.GenID();
-  QaReadReply q = client_.QaRead("k", session);
+TEST_P(ProtocolTest, FullRefreshProtocol) {
+  kvs().Set("k", "old");
+  SessionId session = kvs().GenID();
+  QaReadReply q = kvs().QaRead("k", session);
   ASSERT_EQ(q.status, QaReadReply::Status::kGranted);
   EXPECT_EQ(q.value, "old");
-  // Second writer rejected over the wire.
-  SessionId other = client_.GenID();
-  EXPECT_EQ(client_.QaRead("k", other).status, QaReadReply::Status::kReject);
-  EXPECT_EQ(client_.SaR("k", std::optional<std::string>("new"), q.token),
+  // A second writer is rejected.
+  SessionId other = kvs().GenID();
+  EXPECT_EQ(kvs().QaRead("k", other).status, QaReadReply::Status::kReject);
+  EXPECT_EQ(kvs().SaR("k", std::optional<std::string>("new"), q.token),
             StoreResult::kStored);
-  EXPECT_EQ(client_.Get("k")->value, "new");
+  EXPECT_EQ(kvs().Get("k")->value, "new");
 }
 
-TEST_F(RemoteTest, FullInvalidateProtocol) {
-  client_.Set("k", "v");
-  SessionId tid = client_.GenID();
-  client_.QaReg(tid, "k");
-  EXPECT_TRUE(client_.Get("k"));  // deferred delete
-  client_.DaR(tid);
-  EXPECT_FALSE(client_.Get("k"));
+TEST_P(ProtocolTest, FullInvalidateProtocol) {
+  kvs().Set("k", "v");
+  SessionId tid = kvs().GenID();
+  kvs().QaReg(tid, "k");
+  EXPECT_TRUE(kvs().Get("k"));  // deferred delete
+  kvs().DaR(tid);
+  EXPECT_FALSE(kvs().Get("k"));
 }
 
-TEST_F(RemoteTest, FullDeltaProtocol) {
-  client_.Set("list", "a");
-  client_.Set("count", "10");
-  SessionId tid = client_.GenID();
-  EXPECT_EQ(client_.IQDelta(tid, "list", DeltaOp{DeltaOp::Kind::kAppend, ",b", 0}),
+TEST_P(ProtocolTest, FullDeltaProtocol) {
+  kvs().Set("list", "a");
+  kvs().Set("count", "10");
+  SessionId tid = kvs().GenID();
+  EXPECT_EQ(kvs().IQDelta(tid, "list", DeltaOp{DeltaOp::Kind::kAppend, ",b", 0}),
             QuarantineResult::kGranted);
-  EXPECT_EQ(client_.IQDelta(tid, "count", DeltaOp{DeltaOp::Kind::kIncr, {}, 2}),
+  EXPECT_EQ(kvs().IQDelta(tid, "count", DeltaOp{DeltaOp::Kind::kIncr, {}, 2}),
             QuarantineResult::kGranted);
-  client_.Commit(tid);
-  EXPECT_EQ(client_.Get("list")->value, "a,b");
-  EXPECT_EQ(client_.Get("count")->value, "12");
+  kvs().Commit(tid);
+  EXPECT_EQ(kvs().Get("list")->value, "a,b");
+  EXPECT_EQ(kvs().Get("count")->value, "12");
 }
 
-TEST_F(RemoteTest, AbortOverTheWire) {
-  client_.Set("k", "keep");
-  SessionId tid = client_.GenID();
-  client_.IQDelta(tid, "k", DeltaOp{DeltaOp::Kind::kAppend, "X", 0});
-  client_.Abort(tid);
-  EXPECT_EQ(client_.Get("k")->value, "keep");
+TEST_P(ProtocolTest, AbortDiscardsBufferedDelta) {
+  kvs().Set("k", "keep");
+  SessionId tid = kvs().GenID();
+  kvs().IQDelta(tid, "k", DeltaOp{DeltaOp::Kind::kAppend, "X", 0});
+  kvs().Abort(tid);
+  EXPECT_EQ(kvs().Get("k")->value, "keep");
 }
 
 TEST_F(RemoteTest, StatsExposeLeaseCounters) {
@@ -875,7 +894,7 @@ TEST_F(RemoteTest, MalformedRequestYieldsError) {
 TEST(LoopbackLatency, InjectedLatencySlowsRoundTrip) {
   IQServer server;
   LoopbackChannel channel(server, /*one_way_latency=*/kNanosPerMilli);
-  RemoteCacheClient client(channel);
+  RemoteBackend client(channel);
   Nanos t0 = SteadyClock::Instance().Now();
   client.Set("k", "v");
   EXPECT_GE(SteadyClock::Instance().Now() - t0, 2 * kNanosPerMilli);
@@ -888,7 +907,7 @@ TEST(RemoteConcurrency, RefreshProtocolSerializesOverTheWire) {
   IQServer server;
   LoopbackChannel channel(server);
   {
-    RemoteCacheClient setup(channel);
+    RemoteBackend setup(channel);
     setup.Set("n", "0");
   }
   constexpr int kThreads = 4;
@@ -897,7 +916,7 @@ TEST(RemoteConcurrency, RefreshProtocolSerializesOverTheWire) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&server, &channel, &committed] {
-      RemoteCacheClient client(channel);
+      RemoteBackend client(channel);
       for (int i = 0; i < kIncrements; ++i) {
         SessionId session = client.GenID();
         QaReadReply q = client.QaRead("n", session);
@@ -914,7 +933,7 @@ TEST(RemoteConcurrency, RefreshProtocolSerializesOverTheWire) {
     });
   }
   for (auto& t : threads) t.join();
-  RemoteCacheClient check(channel);
+  RemoteBackend check(channel);
   EXPECT_EQ(check.Get("n")->value, std::to_string(committed.load()));
   EXPECT_EQ(committed.load(), kThreads * kIncrements);
 }
@@ -972,7 +991,7 @@ TEST(ResponseCodec, MultiValueRoundTrip) {
 TEST(LoopbackMultiGet, MissesAreOmittedAndOrderIsPreserved) {
   IQServer server;
   LoopbackChannel channel(server);
-  RemoteCacheClient client(channel);
+  RemoteBackend client(channel);
   client.Set("a", "one");
   client.Set("c", "three");
   auto hits = client.MultiGet({"a", "missing", "c"});
@@ -988,7 +1007,7 @@ TEST(LoopbackMultiGet, MissesAreOmittedAndOrderIsPreserved) {
 TEST(LoopbackMultiGet, OneTwoAndManyKeysWithDuplicates) {
   IQServer server;
   LoopbackChannel channel(server);
-  RemoteCacheClient client(channel);
+  RemoteBackend client(channel);
   client.Set("a", "one");
   client.Set("b", "two");
   client.Set("c", "three");
@@ -1010,7 +1029,7 @@ TEST(LoopbackMultiGet, OneTwoAndManyKeysWithDuplicates) {
         std::vector<std::string>{"c", "missing", "c", "a"}}) {
     auto hits = client.MultiGet(keys, /*with_cas=*/true);
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      auto direct = client.Gets(keys[i]);
+      auto direct = client.Get(keys[i]);
       ASSERT_EQ(hits[i].has_value(), direct.has_value()) << keys[i];
       if (direct) {
         EXPECT_EQ(hits[i]->cas, direct->cas) << keys[i];
@@ -1022,7 +1041,7 @@ TEST(LoopbackMultiGet, OneTwoAndManyKeysWithDuplicates) {
 TEST(LoopbackMultiGet, GetsCarriesCasPerValue) {
   IQServer server;
   LoopbackChannel channel(server);
-  RemoteCacheClient client(channel);
+  RemoteBackend client(channel);
   client.Set("a", "one");
   client.Set("b", "two");
   auto hits = client.MultiGet({"a", "b"}, /*with_cas=*/true);
@@ -1128,28 +1147,28 @@ TEST(ResponseCodec, HugeLengthClaimsNeverCompleteNorWrap) {
 
 // ---- release command ----------------------------------------------------------
 
-TEST_F(RemoteTest, ReleaseDropsOneLeaseAndKeepsBufferedWork) {
+TEST_P(ProtocolTest, ReleaseDropsOneLeaseAndKeepsBufferedWork) {
   // The whole point of `release` over `abort`: the session's buffered work
   // on other keys must survive (a plain abort would discard the delta).
-  client_.Set("count", "10");
-  client_.Set("held", "x");
-  SessionId tid = client_.GenID();
-  ASSERT_EQ(client_.IQDelta(tid, "count", DeltaOp{DeltaOp::Kind::kIncr, {}, 5}),
+  kvs().Set("count", "10");
+  kvs().Set("held", "x");
+  SessionId tid = kvs().GenID();
+  ASSERT_EQ(kvs().IQDelta(tid, "count", DeltaOp{DeltaOp::Kind::kIncr, {}, 5}),
             QuarantineResult::kGranted);
-  QaReadReply q = client_.QaRead("held", tid);
+  QaReadReply q = kvs().QaRead("held", tid);
   ASSERT_EQ(q.status, QaReadReply::Status::kGranted);
-  client_.Release(tid, "held");
+  kvs().ReleaseKey(tid, "held");
   // The Q lease on "held" is gone: another session acquires it immediately.
-  SessionId other = client_.GenID();
-  EXPECT_EQ(client_.QaRead("held", other).status,
+  SessionId other = kvs().GenID();
+  EXPECT_EQ(kvs().QaRead("held", other).status,
             QaReadReply::Status::kGranted);
-  client_.Abort(other);
-  client_.Commit(tid);
-  EXPECT_EQ(client_.Get("count")->value, "15");  // delta survived the release
+  kvs().Abort(other);
+  kvs().Commit(tid);
+  EXPECT_EQ(kvs().Get("count")->value, "15");  // delta survived the release
 }
 
-TEST_F(RemoteTest, RemoteBackendReleaseKeyMatchesInProcessSemantics) {
-  RemoteBackend backend(channel_);
+TEST_P(ProtocolTest, ReleaseKeyThenCommitAppliesTheOtherKeysDelta) {
+  KvsBackend& backend = kvs();
   backend.Set("count", "1");
   backend.Set("aux", "v");
   SessionId tid = backend.GenID();

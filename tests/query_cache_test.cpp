@@ -91,6 +91,21 @@ TEST_F(QueryCacheTest, FirstSelectMissesSecondHits) {
   EXPECT_EQ(stats.result_misses, 1u);
 }
 
+TEST_F(QueryCacheTest, WarmSelectsSendNoClosingAbort) {
+  // A warm Select only hits (the table sentinel, then the result), so its
+  // session leaves nothing on the server and must not pay an Abort round
+  // trip when it ends.
+  cache_.Select("SELECT name FROM Users WHERE id = ?", {V(2)});  // warm up
+  const std::uint64_t aborts = server_.Stats().aborts;
+  for (int i = 0; i < 1000; ++i) {
+    auto r = cache_.Select("SELECT name FROM Users WHERE id = ?", {V(2)});
+    ASSERT_EQ(r.rows.size(), 1u);
+  }
+  EXPECT_EQ(cache_.GetStats().result_hits, 1000u);
+  EXPECT_EQ(server_.Stats().aborts, aborts);
+  EXPECT_EQ(server_.LeaseCount(), 0u);
+}
+
 TEST_F(QueryCacheTest, DifferentParamsAreDifferentEntries) {
   cache_.Select("SELECT name FROM Users WHERE id = ?", {V(1)});
   auto r = cache_.Select("SELECT name FROM Users WHERE id = ?", {V(3)});

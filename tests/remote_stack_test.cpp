@@ -207,10 +207,7 @@ class ShardedStackTest : public ::testing::Test {
         // The TCP child's counters come back over the wire, through the
         // same `stats` command an operator would use.
         {"tcp", remote_.get(), 1,
-         [this] {
-           return net::ParseIQStats(net::RemoteCacheClient(*channel_).Stats());
-         },
-         {}}});
+         [this] { return net::ParseIQStats(remote_->Stats()); }, {}}});
   }
 
   void TearDown() override {
@@ -445,7 +442,7 @@ TEST(KillRestartTest, ClientReconnectsAndServesZeroStaleReads) {
   {
     auto holder = net::TcpChannel::Connect("127.0.0.1", port, &error);
     ASSERT_NE(holder, nullptr) << error;
-    net::RemoteCacheClient dead_writer(*holder);
+    net::RemoteBackend dead_writer(*holder);
     SessionId tid = dead_writer.GenID();
     ASSERT_NE(tid, 0u);
     ASSERT_EQ(dead_writer.QaReg(tid, "K"), QuarantineResult::kGranted);

@@ -224,6 +224,25 @@ TEST_F(ShardedBackendTest, AnonymousReadsDoNotMintSessions) {
   EXPECT_EQ(router_.router_stats().shard_sessions, 0u);
 }
 
+TEST_F(ShardedBackendTest, HitsBindNoChildSessionButAGrantDoes) {
+  // A session that only hit holds nothing at the router either, so it needs
+  // no closing Abort; a read granted an I lease binds its child id.
+  std::string k0 = KeyOnShard(router_, 0);
+  router_.Set(k0, "v");
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(router_.IQget(k0, router_.GenID()).status,
+              GetReply::Status::kHit);
+  }
+  EXPECT_EQ(router_.router_stats().shard_sessions, 0u);
+  SessionId tid = router_.GenID();
+  ASSERT_EQ(router_.IQget(KeyOnShard(router_, 0, "miss"), tid).status,
+            GetReply::Status::kMissGrantedI);
+  EXPECT_EQ(router_.router_stats().shard_sessions, 1u);
+  router_.Abort(tid);
+  EXPECT_EQ(router_.router_stats().fanout_aborts, 1u);
+  EXPECT_EQ(child0_.Stats().aborts, 1u);
+}
+
 TEST_F(ShardedBackendTest, StatsAggregateAcrossShardsWithBreakdown) {
   std::string k0 = KeyOnShard(router_, 0);
   std::string k1 = KeyOnShard(router_, 1);

@@ -564,7 +564,7 @@ TEST(StressTest, LoopbackRequestCounterExactUnderThreads) {
   std::vector<std::thread> clients;
   for (int i = 0; i < kClientThreads; ++i) {
     clients.emplace_back([&channel, i] {
-      net::RemoteCacheClient client(channel);
+      net::RemoteBackend client(channel);
       for (int op = 0; op < kOpsPerThread; ++op) {
         std::string key = "c" + std::to_string(i) + "-" + std::to_string(op % 16);
         if (op % 2 == 0) {

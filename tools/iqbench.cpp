@@ -445,23 +445,18 @@ struct RemoteStack {
     for (std::size_t i = 0; i < stack->pool->size(); ++i) {
       stack->backends.push_back(
           std::make_unique<net::RemoteBackend>(stack->pool->channel(i)));
+      net::RemoteBackend* remote = stack->backends.back().get();
       net::ReconnectingChannel* channel = &stack->pool->channel(i);
-      shards.push_back({net::Name(stack->pool->endpoint(i)),
-                        stack->backends.back().get(), 1,
-                        [channel] {
-                          return net::ParseIQStats(
-                              net::RemoteCacheClient(*channel).Stats());
-                        },
+      shards.push_back({net::Name(stack->pool->endpoint(i)), remote, 1,
+                        [remote] { return net::ParseIQStats(remote->Stats()); },
                         [channel] { return channel->reconnects(); },
-                        [channel](std::size_t max_events) {
-                          auto drain = net::RemoteCacheClient(*channel)
-                                           .TraceWithInfo(max_events);
+                        [remote](std::size_t max_events) {
+                          auto drain = remote->TraceWithInfo(max_events);
                           return drain ? std::move(drain->events)
                                        : std::vector<TraceEvent>{};
                         },
-                        [channel] {
-                          auto drain =
-                              net::RemoteCacheClient(*channel).TraceWithInfo(1);
+                        [remote] {
+                          auto drain = remote->TraceWithInfo(1);
                           return drain && drain->has_info ? drain->info
                                                           : TraceInfo{};
                         }});
@@ -714,7 +709,7 @@ int RunRemote(const Options& opt) {
                 settle->router->FormatStats().c_str());
   } else {
     std::printf("\ncache server:\n%s",
-                net::RemoteCacheClient(settle->pool->channel(0)).Stats().c_str());
+                settle->backends[0]->Stats().c_str());
   }
   if (!DumpOpLog(op_log, opt.oplog)) return 1;
   // Under IQ an imbalance or a detected stale read is a consistency bug and

@@ -34,7 +34,7 @@
 
 #include "check/checker.h"
 #include "check/oplog.h"
-#include "net/channel.h"
+#include "net/remote_backend.h"
 #include "net/tcp_channel.h"
 #include "util/trace_ring.h"
 
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
                    error.c_str());
       return 2;
     }
-    net::RemoteCacheClient client(*channel);
+    net::RemoteBackend client(*channel);
     auto drain = client.TraceWithInfo(max_events);
     if (!drain) {
       std::fprintf(stderr, "iqcheck: trace drain from %s failed\n",
