@@ -41,8 +41,7 @@ ShardedBackend::ShardedBackend(std::vector<Shard> shards, Config config)
                                      : SteadyClock::Instance()),
       stripes_(config.session_stripes > 0 ? config.session_stripes : 1),
       health_(std::make_unique<ShardHealth[]>(
-          shards_.empty() ? 1 : shards_.size())),
-      spares_(std::make_unique<Spares[]>(shards_.empty() ? 1 : shards_.size())) {
+          shards_.empty() ? 1 : shards_.size())) {
   if (shards_.empty()) {
     throw std::invalid_argument("ShardedBackend: no shards");
   }
@@ -128,48 +127,32 @@ SessionId ShardedBackend::GenID() {
 }
 
 SessionId ShardedBackend::ShardSession(SessionId tid, std::size_t shard) {
-  if (SessionId bound = LookupShardSession(tid, shard)) return bound;
-  // TakeSpare may mint: on a remote shard that is a round trip, so it runs
-  // outside the stripe lock, where other sessions do not wait behind it.
-  SessionId child = TakeSpare(shard);
+  Stripe& st = StripeFor(tid);
+  {
+    std::lock_guard lock(st.mu);
+    auto it = st.sessions.find(tid);
+    if (it != st.sessions.end() && !it->second.shard_sids.empty() &&
+        it->second.shard_sids[shard] != 0) {
+      return it->second.shard_sids[shard];
+    }
+  }
+  // Mint outside the stripe lock: on a remote shard this is a round trip,
+  // and other sessions in the stripe must not wait behind it.
+  SessionId child = shards_[shard].backend->GenID();
   if (child == 0) return 0;  // mint failed (dead remote): caller maps to
                              // kTransportError; nothing to record in the map
-  return Bind(tid, shard, child);
-}
-
-SessionId ShardedBackend::Bind(SessionId tid, std::size_t shard,
-                               SessionId child) {
-  Stripe& st = StripeFor(tid);
   std::lock_guard lock(st.mu);
   SessionState& state = st.sessions.try_emplace(tid).first->second;
   if (state.shard_sids.empty()) state.shard_sids.resize(shards_.size(), 0);
   SessionId& slot = state.shard_sids[shard];
   if (slot == 0) {
     // A session is single-threaded by contract; this re-check only guards
-    // against a misbehaving caller, in which case the first binding wins
-    // and the loser's child id is simply never used (children are free).
+    // against a misbehaving caller, in which case the first mint wins and
+    // the loser's child id is simply never used (children are free).
     slot = child;
     shard_sessions_.fetch_add(1, std::memory_order_relaxed);
   }
   return slot;
-}
-
-SessionId ShardedBackend::TakeSpare(std::size_t shard) {
-  {
-    std::lock_guard lock(spares_[shard].mu);
-    std::vector<SessionId>& ids = spares_[shard].ids;
-    if (!ids.empty()) {
-      SessionId child = ids.back();
-      ids.pop_back();
-      return child;
-    }
-  }
-  return shards_[shard].backend->GenID();
-}
-
-void ShardedBackend::ReturnSpare(std::size_t shard, SessionId child) {
-  std::lock_guard lock(spares_[shard].mu);
-  spares_[shard].ids.push_back(child);
 }
 
 SessionId ShardedBackend::LookupShardSession(SessionId tid,
@@ -207,31 +190,13 @@ GetReply ShardedBackend::IQget(std::string_view key, SessionId session) {
   GetReply err;
   err.status = GetReply::Status::kTransportError;
   if (!AllowRequest(s)) return err;  // down: degrade to RDBMS pass-through
-  // A session that holds nothing on this shard reads under a spare child
-  // id: it has no own lease there to see, and binding the id only on an I
-  // grant leaves a session that merely hit with nothing to release.
+  // A read never mints. A session bound on this shard reads under its
+  // child id, so it sees its own quarantines and buffered deltas; one that
+  // holds nothing here has nothing of its own to see and reads as session
+  // 0, which leaves the router nothing to release for it.
   SessionId sid = session == 0 ? 0 : LookupShardSession(session, s);
-  const bool spare = session != 0 && sid == 0;
-  if (spare) {
-    sid = TakeSpare(s);
-    if (sid == 0) {
-      RecordResult(s, true);  // the mint round trip failed
-      return err;
-    }
-  }
   GetReply reply = shards_[s].backend->IQget(key, sid);
   RecordResult(s, reply.status == GetReply::Status::kTransportError);
-  if (spare) {
-    switch (reply.status) {
-      case GetReply::Status::kMissGrantedI:
-        Bind(session, s, sid);
-        break;
-      case GetReply::Status::kTransportError:
-        break;  // what the lost reply left under this id is unknown: drop it
-      default:
-        ReturnSpare(s, sid);  // a hit or a back-off leaves nothing behind
-    }
-  }
   return reply;
 }
 

@@ -15,16 +15,16 @@
 // Session identity is the real refactor. The upper stack holds ONE
 // SessionId per session, but leases and quarantine registries live
 // per-shard, in the child that owns each key. The router therefore treats
-// its own GenID() values as virtual ids and lazily binds a child SessionId
-// (minted via the child's GenID()) the first time a session may leave state
-// on a shard. A read through a shard the session holds nothing on borrows a
-// spare child id instead and binds it only if the read was granted an I
-// lease, so a session that only hit leaves nothing at the router either and
-// needs no closing Abort. Commit/Abort/DaR fan out to exactly the bound
-// shards; a QaRead/IQDelta rejection releases every bound shard immediately
-// (fan-out abort) so a Q lease stranded on shard A can never deadlock the
-// session's retry after it backs off — the paper's "release all, abort,
-// retry" rule, enforced at the router even if a caller forgets.
+// its own GenID() values as virtual ids and lazily mints a child SessionId
+// (via the child's GenID()) the first time a session takes a Q lease or
+// buffers a delta on a shard. A read through a shard the session holds
+// nothing on goes to the child as session 0, so a session that only read
+// leaves nothing at the router and needs no closing Abort.
+// Commit/Abort/DaR fan out to exactly the touched shards; a QaRead/IQDelta
+// rejection releases every touched shard immediately (fan-out abort) so a
+// Q lease stranded on shard A can never deadlock the session's retry after
+// it backs off — the paper's "release all, abort, retry" rule, enforced
+// at the router even if a caller forgets.
 //
 // Fault tolerance: a per-shard circuit breaker watches for transport
 // errors from the child. After `down_after_errors` consecutive failures
@@ -59,7 +59,7 @@ namespace iq {
 /// Router-level counters (the per-shard work is counted by the children).
 struct ShardedBackendStats {
   std::uint64_t sessions = 0;            // virtual ids handed out by GenID()
-  std::uint64_t shard_sessions = 0;      // child ids bound to sessions
+  std::uint64_t shard_sessions = 0;      // child ids minted on first lease
   std::uint64_t fanout_commits = 0;      // logical commits (incl. DaR)
   std::uint64_t fanout_aborts = 0;       // logical aborts
   std::uint64_t cross_shard_sessions = 0;  // sessions that touched >1 shard
@@ -210,28 +210,15 @@ class ShardedBackend final : public KvsBackend {
     std::atomic<Nanos> next_probe{0};
     std::atomic<std::uint64_t> transport_errors{0};
   };
-  /// Child ids minted on a shard that hold nothing there, free for any
-  /// session's next read. At most one per concurrent reader.
-  struct alignas(64) Spares {
-    std::mutex mu;
-    std::vector<SessionId> ids;
-  };
 
   Stripe& StripeFor(SessionId s) const {
     return stripes_[s % stripes_.size()];
   }
 
-  /// Child id for (tid, shard), bound on the session's first lease-taking
-  /// verb there. A mint happens outside the stripe lock (it may be a
-  /// network round trip).
+  /// Child id for (tid, shard), minted via the child's GenID() on the
+  /// session's first lease-taking verb there. The mint happens outside the stripe lock (it may be a network
+  /// round trip); first writer wins on the defensive re-check.
   SessionId ShardSession(SessionId tid, std::size_t shard);
-  /// Bind `child` as the session's id on `shard` unless one is bound
-  /// already; returns the bound id.
-  SessionId Bind(SessionId tid, std::size_t shard, SessionId child);
-  /// A child id that holds nothing on `shard`: a spare if one is free, else
-  /// a fresh mint via the child's GenID() (0 when that fails).
-  SessionId TakeSpare(std::size_t shard);
-  void ReturnSpare(std::size_t shard, SessionId child);
   /// Child id if the session already touched the shard, else 0. Never
   /// mints.
   SessionId LookupShardSession(SessionId tid, std::size_t shard) const;
@@ -257,7 +244,6 @@ class ShardedBackend final : public KvsBackend {
   std::vector<RingPoint> ring_;  // sorted by point
   mutable std::vector<Stripe> stripes_;
   std::unique_ptr<ShardHealth[]> health_;  // one per shard
-  std::unique_ptr<Spares[]> spares_;       // one per shard
   std::atomic<SessionId> next_sid_{1};
   StatsWindow metrics_window_;
 

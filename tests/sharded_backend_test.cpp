@@ -224,23 +224,28 @@ TEST_F(ShardedBackendTest, AnonymousReadsDoNotMintSessions) {
   EXPECT_EQ(router_.router_stats().shard_sessions, 0u);
 }
 
-TEST_F(ShardedBackendTest, HitsBindNoChildSessionButAGrantDoes) {
-  // A session that only hit holds nothing at the router either, so it needs
-  // no closing Abort; a read granted an I lease binds its child id.
+TEST_F(ShardedBackendTest, ReadsMintNoChildSessionButSeeOwnQuarantine) {
+  // A read of a session that holds nothing on the shard goes to the child
+  // as session 0: a hit or an I grant mints no child id, and the session
+  // needs no closing Abort.
   std::string k0 = KeyOnShard(router_, 0);
   router_.Set(k0, "v");
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(router_.IQget(k0, router_.GenID()).status,
-              GetReply::Status::kHit);
-  }
-  EXPECT_EQ(router_.router_stats().shard_sessions, 0u);
-  SessionId tid = router_.GenID();
-  ASSERT_EQ(router_.IQget(KeyOnShard(router_, 0, "miss"), tid).status,
+  SessionId reader = router_.GenID();
+  EXPECT_EQ(router_.IQget(k0, reader).status, GetReply::Status::kHit);
+  EXPECT_EQ(router_.IQget(KeyOnShard(router_, 0, "miss"), reader).status,
             GetReply::Status::kMissGrantedI);
+  EXPECT_EQ(router_.router_stats().shard_sessions, 0u);
+  router_.Abort(reader);
+  EXPECT_EQ(router_.router_stats().fanout_aborts, 0u);
+  EXPECT_EQ(child0_.Stats().aborts, 0u);
+  // Once a session holds a lease on the shard, its reads there carry its
+  // child id: the quarantining session sees its own pending delete.
+  SessionId writer = router_.GenID();
+  ASSERT_EQ(router_.QaReg(writer, k0), QuarantineResult::kGranted);
+  EXPECT_EQ(router_.IQget(k0, writer).status, GetReply::Status::kMissNoLease);
   EXPECT_EQ(router_.router_stats().shard_sessions, 1u);
-  router_.Abort(tid);
-  EXPECT_EQ(router_.router_stats().fanout_aborts, 1u);
-  EXPECT_EQ(child0_.Stats().aborts, 1u);
+  router_.DaR(writer);
+  EXPECT_EQ(child0_.Stats().commits, 1u);
 }
 
 TEST_F(ShardedBackendTest, StatsAggregateAcrossShardsWithBreakdown) {
