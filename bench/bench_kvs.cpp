@@ -246,6 +246,9 @@ int main() {
               : "";
   if (note[0] != '\0') std::printf("\n  note: %s\n", note);
 
+  // Read the revision before opening the record: truncating a tracked
+  // record first would make every revision read "-dirty".
+  const std::string source_rev = iq::bench::SourceRevision();
   const char* out_path = std::getenv("IQ_BENCH_KVS_OUT");
   if (out_path == nullptr) out_path = "BENCH_kvs.json";
   FILE* f = std::fopen(out_path, "w");
@@ -268,7 +271,7 @@ int main() {
                "  \"window_seconds\": %.2f,\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"read_hit_cells\": [\n",
-               iq::bench::SourceRevision().c_str(), thread_counts[3], kKeys,
+               source_rev.c_str(), thread_counts[3], kKeys,
                kValueBytes, seconds, hw);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     std::fprintf(f,

@@ -229,6 +229,9 @@ int main() {
               speedup, static_cast<unsigned long long>(cells.back().wire_requests),
               static_cast<unsigned long long>(cells.front().wire_requests));
 
+  // Read the revision before opening the record: truncating a tracked
+  // record first would make every revision read "-dirty".
+  const std::string source_rev = bench::SourceRevision();
   const char* out_path = std::getenv("IQ_BENCH_NEAR_OUT");
   if (out_path == nullptr) out_path = "BENCH_near.json";
   FILE* f = std::fopen(out_path, "w");
@@ -248,7 +251,7 @@ int main() {
                "  \"client_threads\": %d,\n"
                "  \"keys\": %d,\n"
                "  \"cells\": [\n",
-               bench::SourceRevision().c_str(),
+               source_rev.c_str(),
                std::thread::hardware_concurrency(), kClientThreads, kKeys);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];

@@ -313,6 +313,9 @@ int main() {
   std::printf("  tcp d1 vs wire floor:  %.0f%% of the attainable rate\n",
               pct_of_floor);
 
+  // Read the revision before opening the record: truncating a tracked
+  // record first would make every revision read "-dirty".
+  const std::string source_rev = bench::SourceRevision();
   const char* out_path = std::getenv("IQ_BENCH_NET_OUT");
   if (out_path == nullptr) out_path = "BENCH_net.json";
   if (FILE* f = std::fopen(out_path, "w")) {
@@ -328,7 +331,7 @@ int main() {
                  "  \"loopback_rps\": %.0f,\n"
                  "  \"wire_floor_rps\": %.0f,\n"
                  "  \"tcp\": [\n",
-                 bench::SourceRevision().c_str(),
+                 source_rev.c_str(),
                  std::thread::hardware_concurrency(),
                  static_cast<double>(window) / kNanosPerSec, kValueBytes,
                  kClientThreads, kServerWorkers, loopback_rps, floor_rps);

@@ -262,6 +262,9 @@ int main() {
               : "";
   if (note[0] != '\0') std::printf("  note: %s\n", note);
 
+  // Read the revision before opening the record: truncating a tracked
+  // record first would make every revision read "-dirty".
+  const std::string source_rev = bench::SourceRevision();
   const char* out_path = std::getenv("IQ_BENCH_SHARD_OUT");
   if (out_path == nullptr) out_path = "BENCH_shard.json";
   if (FILE* f = std::fopen(out_path, "w")) {
@@ -274,7 +277,7 @@ int main() {
                  "  \"hardware_concurrency\": %u,\n"
                  "  \"direct_ops_per_sec\": %.0f,\n"
                  "  \"tiers\": [\n",
-                 bench::SourceRevision().c_str(), kWritePct, 100 - kWritePct,
+                 source_rev.c_str(), kWritePct, 100 - kWritePct,
                  kThreads, hw, direct.ops_per_sec);
     for (std::size_t i = 0; i < cells.size(); ++i) {
       std::fprintf(f,

@@ -174,6 +174,9 @@ int main() {
               "ops/s (min %.0f, max %.0f)\n",
               max_workers, mixed.median, mixed.min, mixed.max);
 
+  // Read the revision before opening the record: truncating a tracked
+  // record first would make every revision read "-dirty".
+  const std::string source_rev = iq::bench::SourceRevision();
   const char* out_path = std::getenv("IQ_BENCH_TPC_OUT");
   if (out_path == nullptr) out_path = "BENCH_tpc.json";
   FILE* f = std::fopen(out_path, "w");
@@ -192,7 +195,7 @@ int main() {
                "  \"window_seconds\": %.2f,\n"
                "  \"rounds_per_cell\": %d,\n"
                "  \"iqget_hit_cells\": [\n",
-               iq::bench::SourceRevision().c_str(), hw, kKeys, kValueBytes,
+               source_rev.c_str(), hw, kKeys, kValueBytes,
                kPipelineDepth, seconds, kRounds);
   for (std::size_t i = 0; i < hit_ops.size(); ++i) {
     PrintCell(f, "    ", worker_counts[i], hit_ops[i]);
